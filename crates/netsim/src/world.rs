@@ -1827,6 +1827,22 @@ mod tests {
         )
     }
 
+    /// The default engine's chatter fingerprints, pinned literally.
+    #[test]
+    fn chatter_traces_are_pinned() {
+        for (seed, expected) in [
+            (1, (240, 530, 58, 252, 53000)),
+            (7, (240, 519, 69, 252, 51900)),
+            (99, (240, 524, 64, 252, 52400)),
+        ] {
+            assert_eq!(
+                chatter_trace(DeliveryMode::Grid, seed),
+                expected,
+                "chatter trace moved for seed {seed}"
+            );
+        }
+    }
+
     #[test]
     fn grid_and_brute_force_delivery_traces_are_identical() {
         for seed in [1, 7, 99] {
@@ -2358,6 +2374,27 @@ mod tests {
             w.stats().partition_drops,
             w.stats().stale_events_suppressed,
         )
+    }
+
+    /// The default engine's fault-plan fingerprints, pinned literally.
+    #[test]
+    fn fault_traces_are_pinned() {
+        for (seed, expected) in [
+            (1, (260, 576, 62, 222, 57600, 0, 0)),
+            (7, (260, 562, 76, 222, 56200, 40, 0)),
+            (99, (260, 532, 66, 222, 53200, 40, 0)),
+        ] {
+            assert_eq!(
+                chatter_fault_trace(
+                    DeliveryMode::Grid,
+                    QueueMode::Wheel,
+                    DeliveryEvents::default(),
+                    seed
+                ),
+                expected,
+                "fault-plan trace moved for seed {seed}"
+            );
+        }
     }
 
     #[test]
