@@ -9,11 +9,10 @@
 //! cargo run ... -- --prom-out BENCH_cs.prom   # Prometheus dump
 //! ```
 //!
-//! The gate (exit 1 on first violation): the FIFO wire-arena trace is
-//! bit-identical to the legacy-table trace, every cell reproduces itself
-//! on a second run, every store passes its exact-accounting audit, hit
-//! and miss counters decompose lookups, and a full-size budget serves
-//! every Interest from cache.
+//! The gate (exit 1 on first violation): every cell reproduces itself on
+//! a second run, every store passes its exact-accounting audit, hit and
+//! miss counters decompose lookups, and a full-size budget serves every
+//! Interest from cache.
 
 use dapes_bench::cs::{gate, render_report, run_all, CsParams};
 
@@ -42,16 +41,7 @@ fn main() {
     );
 
     let run = run_all(&params);
-    eprintln!(
-        "  trace equivalence: wire {:#018x} vs legacy {:#018x} ({})",
-        run.trace_fnv_wire,
-        run.trace_fnv_legacy,
-        if run.fifo_trace_match() {
-            "match"
-        } else {
-            "DIVERGED"
-        },
-    );
+    eprintln!("  count-capped fifo trace: {:#018x}", run.trace_fnv);
     for c in &run.cells {
         eprintln!(
             "  {:<5} @ {:>5.1}% ({:>11} B): hit rate {:.4}, {:>8} hits / {:>8} misses, \
@@ -94,5 +84,5 @@ fn main() {
         eprintln!("GATE VIOLATION: {msg}");
         std::process::exit(1);
     }
-    eprintln!("gate: trace equivalence, determinism and accounting hold");
+    eprintln!("gate: determinism and accounting hold");
 }

@@ -1,5 +1,4 @@
-//! Hot-path throughput benchmark: runs the dense relay swarm under the
-//! legacy (pre-refactor) and zero-copy cost models and writes
+//! Hot-path throughput benchmark: runs the dense relay swarm and writes
 //! `BENCH_hotpath.json`.
 //!
 //! ```text
@@ -8,8 +7,14 @@
 //! cargo run ... -- --out path/to/BENCH_hotpath.json
 //! cargo run ... -- --prom-out BENCH_hotpath.prom   # Prometheus dump
 //! ```
+//!
+//! Every invocation runs the scenario twice and exits 1 unless both runs
+//! give the same trace (events, frames, deliveries) and, for the unmodified
+//! `--quick` or dense preset, the trace pinned for it — so behaviour drift
+//! fails even when it is deterministic.
 
-use dapes_bench::hotpath::{render_report, run_hotpath, HotpathMode, HotpathParams};
+use dapes_bench::hotpath::{render_report, run_hotpath, HotpathParams};
+use dapes_bench::perf::check_traces;
 use dapes_core::stats::PeerStats;
 
 fn main() {
@@ -27,7 +32,6 @@ fn main() {
     };
     // Optional overrides for exploring the parameter space.
     let arg = |flag: &str| args.windows(2).find(|w| w[0] == flag).map(|w| w[1].clone());
-    let min_speedup: Option<f64> = arg("--min-speedup").map(|v| v.parse().expect("--min-speedup"));
     if let Some(n) = arg("--nodes") {
         params.nodes = n.parse().expect("--nodes");
     }
@@ -51,69 +55,39 @@ fn main() {
         params.nodes, params.beacons, params.field, params.range
     );
 
-    // Warm up BOTH cost models at small scale so neither timed run pays
-    // first-touch costs, then interleave two timed repetitions per mode and
-    // keep each mode's best run — this cancels run-ordering effects
-    // (allocator arenas, page cache) instead of favoring whichever mode
-    // runs later.
+    // Warm up at small scale so no timed run pays first-touch costs, then
+    // keep the best of two timed repetitions (which double as the
+    // determinism check).
     let warmup = HotpathParams {
         nodes: params.nodes.min(40),
         beacons: 2,
         ..params
     };
-    let _ = run_hotpath(&warmup, HotpathMode::Legacy);
-    let _ = run_hotpath(&warmup, HotpathMode::ZeroCopy);
-
-    let pick_best = |a: dapes_bench::hotpath::HotpathResult,
-                     b: dapes_bench::hotpath::HotpathResult| {
-        if a.wall_secs <= b.wall_secs {
-            a
-        } else {
-            b
-        }
-    };
-    let baseline = pick_best(
-        run_hotpath(&params, HotpathMode::Legacy),
-        run_hotpath(&params, HotpathMode::Legacy),
-    );
+    let _ = run_hotpath(&warmup);
+    let runs = [run_hotpath(&params), run_hotpath(&params)];
+    let traces: Vec<_> = runs.iter().map(|r| r.trace()).collect();
+    let verdict = check_traces(&traces, params.pinned_trace());
+    let [a, b] = runs;
+    let best = if a.wall_secs <= b.wall_secs { a } else { b };
     eprintln!(
-        "  legacy   : {:>8.0} events/s  ({:.2} s wall, {} events, {} bytes cloned)",
-        baseline.events_per_sec, baseline.wall_secs, baseline.events, baseline.bytes_cloned
+        "  {:>8.0} events/s  ({:.2} s wall, {} events, {} frames, {} deliveries)",
+        best.events_per_sec, best.wall_secs, best.events, best.tx_frames, best.delivered
     );
-    let optimized = pick_best(
-        run_hotpath(&params, HotpathMode::ZeroCopy),
-        run_hotpath(&params, HotpathMode::ZeroCopy),
-    );
-    eprintln!(
-        "  zero-copy: {:>8.0} events/s  ({:.2} s wall, {} events, {} bytes cloned)",
-        optimized.events_per_sec, optimized.wall_secs, optimized.events, optimized.bytes_cloned
-    );
-    assert_eq!(
-        (baseline.tx_frames, baseline.delivered),
-        (optimized.tx_frames, optimized.delivered),
-        "modes must run the same trace for the comparison to be fair"
-    );
-    let speedup = optimized.events_per_sec / baseline.events_per_sec;
-    eprintln!("  speedup  : {speedup:.2}x events/s");
 
-    let json = render_report(&params, &baseline, &optimized);
+    let deterministic = traces.windows(2).all(|w| w[0] == w[1]);
+    let json = render_report(&params, &best, deterministic);
     std::fs::write(&out, json).expect("write BENCH_hotpath.json");
     eprintln!("wrote {out}");
     if let Some(path) = arg("--prom-out") {
         // The relay swarm runs bench stacks, not DAPES peers, so the peer
         // section reports zeros.
-        let dump = dapes_bench::prom::export(&optimized.stats, &PeerStats::default());
+        let dump = dapes_bench::prom::export(&best.stats, &PeerStats::default());
         std::fs::write(&path, dump).expect("write prometheus dump");
-        eprintln!("wrote {path} (zero-copy run)");
+        eprintln!("wrote {path}");
     }
 
-    if let Some(min) = min_speedup {
-        if speedup < min {
-            eprintln!(
-                "REGRESSION: zero-copy at {speedup:.2}x events/s is below the required \
-                 {min:.2}x over legacy"
-            );
-            std::process::exit(1);
-        }
+    if let Err(msg) = verdict {
+        eprintln!("TRACE GATE: {msg}");
+        std::process::exit(1);
     }
 }

@@ -1,47 +1,30 @@
-//! Scheduler throughput benchmark: runs the timer-heavy advert swarm under
-//! all twelve control-plane cost models (heap/wheel × eager/lazy[+patch] ×
-//! per-receiver/batched delivery) and writes `BENCH_sched.json`.
+//! Scheduler throughput benchmark: runs the timer-heavy advert swarm on
+//! one core and along a sharded-engine cores axis, and writes
+//! `BENCH_sched.json`.
 //!
 //! ```text
 //! cargo run --release -p dapes-bench --bin sched            # dense (2,400 nodes)
 //! cargo run --release -p dapes-bench --bin sched -- --quick # CI smoke
 //! cargo run ... -- --out path/to/BENCH_sched.json
-//! cargo run ... -- --quick --min-speedup 1.0   # exit non-zero on regression
-//! cargo run ... -- --relay-patch off           # drop the decode-free-relay axis
 //! cargo run ... -- --cores 1,2,4               # sharded-engine cores axis
 //! cargo run ... -- --cores-nodes 100000        # scale the cores-axis swarm
 //! cargo run ... -- --min-shard-speedup 1.0     # gate the sharded speedup
 //! cargo run ... -- --prom-out BENCH_sched.prom # Prometheus dump
 //! ```
 //!
-//! The cores axis reruns the optimized profile on the sharded multi-core
-//! engine at each shard count (first entry always `1`, the sequential
-//! reference) and records it in the report next to the twelve-mode sweep.
+//! The single-core run repeats (best wall clock wins) and exits 1 unless
+//! every repetition gives the same trace (events, frames, deliveries) and,
+//! for the unmodified `--quick` or dense preset, the trace pinned for it —
+//! so behaviour drift fails even when it is deterministic.
+//!
+//! The cores axis reruns the swarm on the sharded multi-core engine at
+//! each shard count (first entry always `1`, the sequential reference).
 //! `--cores-nodes` scales the cores-axis swarm while preserving density
 //! (field side grows by the square root of the node ratio).
-//!
-//! `--relay-patch` selects the decode-free-relay axis of the sweep: `both`
-//! (default) runs all twelve modes, `on` keeps only the patched lazy modes
-//! (plus the eager baselines), `off` keeps the eight pre-patch modes — the
-//! CI matrix runs `on` and `off` so a regression in either relay path gates
-//! the merge on its own.
 
-use dapes_bench::sched::{render_report, run_sched, trace_of, SchedMode, SchedParams, SchedResult};
+use dapes_bench::perf::check_traces;
+use dapes_bench::sched::{best_of, render_report, run_sched, shard_speedup, SchedParams};
 use dapes_core::stats::PeerStats;
-
-/// Writes the shared Prometheus dump for the most interesting run: the
-/// deepest sharded cores-axis entry when one ran, else the last swept
-/// mode. The advert swarm runs bench stacks, not DAPES peers, so the
-/// peer section reports zeros.
-fn write_prom(path: &str, results: &[SchedResult], cores_axis: &[SchedResult]) {
-    let r = cores_axis
-        .last()
-        .or_else(|| results.last())
-        .expect("at least one run");
-    let dump = dapes_bench::prom::export(&r.stats, &PeerStats::default());
-    std::fs::write(path, dump).expect("write prometheus dump");
-    eprintln!("wrote {path} ({} run)", r.mode.label());
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -57,7 +40,6 @@ fn main() {
         SchedParams::dense()
     };
     let arg = |flag: &str| args.windows(2).find(|w| w[0] == flag).map(|w| w[1].clone());
-    let min_speedup: Option<f64> = arg("--min-speedup").map(|v| v.parse().expect("--min-speedup"));
     if let Some(n) = arg("--nodes") {
         params.nodes = n.parse().expect("--nodes");
     }
@@ -100,159 +82,84 @@ fn main() {
     }
     let min_shard_speedup: Option<f64> =
         arg("--min-shard-speedup").map(|v| v.parse().expect("--min-shard-speedup"));
-    let mut modes: Vec<SchedMode> = match arg("--relay-patch").as_deref() {
-        None | Some("both") => SchedMode::sweep(),
-        Some("on") => SchedMode::sweep()
-            .into_iter()
-            .filter(|m| m.exec.relay_patch == m.exec.lazy_peek)
-            .collect(),
-        Some("off") => SchedMode::sweep()
-            .into_iter()
-            .filter(|m| !m.exec.relay_patch)
-            .collect(),
-        Some(other) => panic!("--relay-patch must be on, off or both, got {other:?}"),
-    };
-    // Debugging escape hatch: run only the modes whose label contains the
-    // given substring (comma-separated alternatives). Disables the speedup
-    // gate unless the filtered set still contains the baseline.
-    if let Some(only) = arg("--only") {
-        modes.retain(|m| only.split(',').any(|pat| m.label().contains(pat)));
-        assert!(!modes.is_empty(), "--only {only:?} matched no mode");
-    }
     eprintln!(
         "perf_sched: {} nodes, {} rounds each, field {} m, range {} m, tick {} ms",
         params.nodes, params.rounds, params.field, params.range, params.tick_ms
     );
 
-    // Warm both extremes at small scale so no timed run pays first-touch
-    // costs, then take each mode's best of two interleaved repetitions.
+    // Warm up at small scale so no timed run pays first-touch costs, then
+    // keep the best of the timed repetitions (which double as the
+    // determinism check).
     let warmup = SchedParams {
         nodes: params.nodes.min(60),
         rounds: 2,
         field: params.field.min(300.0),
         ..params
     };
-    let _ = run_sched(&warmup, SchedMode::baseline());
-    let _ = run_sched(&warmup, SchedMode::optimized());
-
+    let _ = run_sched(&warmup, 1);
     let reps = if quick { 2 } else { 3 };
-    let mut results = Vec::new();
-    for mode in modes {
-        let best = (0..reps)
-            .map(|_| run_sched(&params, mode))
-            .reduce(|a, b| if a.wall_secs <= b.wall_secs { a } else { b })
-            .expect("at least one repetition");
-        eprintln!(
-            "  {:<24}: {:>9.0} events/s  ({:.2} s wall, {} popped / {} sim events, {} peeked ({} fib-drop, {} cbp-hit, {} relay-patched) / {} decoded, pool {}h/{}m)",
-            best.mode.label(),
-            best.events_per_sec,
-            best.wall_secs,
-            best.events,
-            best.sim_events,
-            best.frames_peek_resolved,
-            best.peek_fib_drops,
-            best.peek_prefix_hits,
-            best.frames_relay_patched,
-            best.full_decodes,
-            best.cmd_pool_hits,
-            best.cmd_pool_misses,
-        );
-        results.push(best);
-    }
-    for r in &results[1..] {
-        assert_eq!(
-            trace_of(r),
-            trace_of(&results[0]),
-            "modes must run the same protocol trace for the comparison to be fair"
-        );
-        // Event counts additionally agree within a delivery-event class.
-        if r.mode.exec.delivery_events == results[0].mode.exec.delivery_events {
-            assert_eq!(r.events, results[0].events, "{}", r.mode.label());
-        }
-    }
+    let runs: Vec<_> = (0..reps).map(|_| run_sched(&params, 1)).collect();
+    let traces: Vec<_> = runs.iter().map(|r| r.trace()).collect();
+    let verdict = check_traces(&traces, params.pinned_trace());
+    let deterministic = traces.windows(2).all(|w| w[0] == w[1]);
+    let best = best_of(runs);
+    eprintln!(
+        "  {:>9.0} events/s  ({:.2} s wall, {} popped / {} sim events, {} peeked ({} fib-drop, {} cbp-hit, {} relay-patched) / {} decoded, pool {}h/{}m)",
+        best.events_per_sec,
+        best.wall_secs,
+        best.events,
+        best.sim_events,
+        best.frames_peek_resolved,
+        best.peek_fib_drops,
+        best.peek_prefix_hits,
+        best.frames_relay_patched,
+        best.full_decodes,
+        best.cmd_pool_hits,
+        best.cmd_pool_misses,
+    );
 
-    // The sharded cores axis: the optimized profile at increasing shard
-    // counts, on the (possibly scaled) cores-axis scenario.
+    // The sharded cores axis, on the (possibly scaled) cores-axis scenario.
     eprintln!(
         "perf_sched cores axis: {} nodes, field {:.0} m, cores {:?}",
         cores_params.nodes, cores_params.field, cores_list
     );
     let mut cores_axis = Vec::new();
     for &cores in &cores_list {
-        let mode = SchedMode::optimized().with_cores(cores);
-        let best = (0..if cores_params.nodes > 20_000 { 1 } else { reps })
-            .map(|_| run_sched(&cores_params, mode))
-            .reduce(|a, b| if a.wall_secs <= b.wall_secs { a } else { b })
-            .expect("at least one repetition");
+        let reps = if cores_params.nodes > 20_000 { 1 } else { reps };
+        let r = best_of((0..reps).map(|_| run_sched(&cores_params, cores)).collect());
         eprintln!(
-            "  {:<24}: {:>9.0} events/s  ({:.2} s wall, {} sim events, {} border-exported / {} injected, {} windows)",
-            best.mode.label(),
-            best.events_per_sec,
-            best.wall_secs,
-            best.sim_events,
-            best.border_tx_exported,
-            best.border_rx_injected,
-            best.sync_windows,
+            "  cores {:<3}: {:>9.0} events/s  ({:.2} s wall, {} sim events, {} border-exported / {} injected, {} windows)",
+            cores,
+            r.events_per_sec,
+            r.wall_secs,
+            r.sim_events,
+            r.border_tx_exported,
+            r.border_rx_injected,
+            r.sync_windows,
         );
-        cores_axis.push(best);
+        cores_axis.push(r);
     }
-    let shard_speedup = match cores_axis.split_first() {
-        Some((seq, rest)) if !rest.is_empty() => {
-            rest.iter()
-                .map(|r| r.events_per_sec)
-                .fold(f64::NEG_INFINITY, f64::max)
-                / seq.events_per_sec.max(1e-9)
-        }
-        _ => 1.0,
-    };
+    let shard_speedup = shard_speedup(&cores_axis);
     if cores_axis.len() > 1 {
         eprintln!("  shard speedup: {shard_speedup:.2}x events/s over the sequential run");
     }
 
-    let Some(baseline) = results.iter().find(|r| r.mode == SchedMode::baseline()) else {
-        // `--only` filtered the baseline out: nothing to compare against.
-        let json = render_report(&params, &results, &cores_params, &cores_axis);
-        std::fs::write(&out, json).expect("write BENCH_sched.json");
-        eprintln!("wrote {out} (no baseline mode swept; speedup gate skipped)");
-        if let Some(path) = arg("--prom-out") {
-            write_prom(&path, &results, &cores_axis);
-        }
-        return;
-    };
-    // The fully-optimized mode under the selected axis: the patched wheel/
-    // lazy/batched stack when the axis includes it, its pre-patch
-    // counterpart under `--relay-patch off`.
-    let optimized = results
-        .iter()
-        .find(|r| r.mode == SchedMode::optimized())
-        .or_else(|| results.last())
-        .expect("at least one mode swept");
-    let speedup = optimized.events_per_sec / baseline.events_per_sec;
-    eprintln!(
-        "  speedup     : {:.2}x events/s ({:.2}x wall) {} vs {}",
-        speedup,
-        baseline.wall_secs / optimized.wall_secs.max(1e-9),
-        optimized.mode.label(),
-        baseline.mode.label(),
-    );
-
-    let json = render_report(&params, &results, &cores_params, &cores_axis);
+    let json = render_report(&params, &best, deterministic, &cores_params, &cores_axis);
     std::fs::write(&out, json).expect("write BENCH_sched.json");
     eprintln!("wrote {out}");
     if let Some(path) = arg("--prom-out") {
-        write_prom(&path, &results, &cores_axis);
+        // The deepest sharded run when the axis has one, else the
+        // single-core run. The advert swarm runs bench stacks, not DAPES
+        // peers, so the peer section reports zeros.
+        let r = cores_axis.last().unwrap_or(&best);
+        let dump = dapes_bench::prom::export(&r.stats, &PeerStats::default());
+        std::fs::write(&path, dump).expect("write prometheus dump");
+        eprintln!("wrote {path} ({} cores)", r.cores);
     }
 
-    if let Some(min) = min_speedup {
-        if speedup < min {
-            eprintln!(
-                "REGRESSION: {} at {speedup:.2}x events/s is below the required {min:.2}x \
-                 over {}",
-                optimized.mode.label(),
-                baseline.mode.label(),
-            );
-            std::process::exit(1);
-        }
+    if let Err(msg) = verdict {
+        eprintln!("TRACE GATE: {msg}");
+        std::process::exit(1);
     }
     if let Some(min) = min_shard_speedup {
         if shard_speedup < min {

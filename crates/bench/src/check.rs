@@ -1,14 +1,17 @@
 //! Schema validation and step-summary rendering for the committed
 //! `BENCH_*.json` reports — the library behind the `checkjson` binary.
 //!
-//! Validation asserts: `scenario` is a string, `nodes` and `seed` are
-//! numeric, `speedup_events_per_sec` is a *finite positive* number (NaN and
+//! Every report needs a string `scenario` and numeric `nodes` and `seed`.
+//! The engine-throughput reports (`perf_hotpath`, `perf_sched`) must also
+//! record their host (`host_cores`, `build_profile`), carry a true
+//! `deterministic` gate flag, and hold one measured `run` whose
+//! `wall_secs` and `events_per_sec` are *finite positive* numbers (NaN and
 //! ±Inf — e.g. from a zero-wall-clock division — are rejected, not
-//! round-tripped into CI), and every mode entry (the `modes` array for the
-//! scheduler report, the `baseline`/`optimized` objects for the hot-path
-//! report) carries a string `mode` plus numeric `wall_secs`,
-//! `events_per_sec`, `tx_frames` and `delivered`. An empty `modes` array is
-//! an error: a report that measured nothing must not pass the gate.
+//! round-tripped into CI) and whose frame counters are non-negative
+//! integers. The scheduler report must also commit a non-empty sharded
+//! cores axis anchored at one core, with a finite positive
+//! `shard_speedup_events_per_sec`: a report that measured nothing must not
+//! pass the gate.
 
 use crate::json::Value;
 
@@ -27,17 +30,23 @@ fn require_str<'a>(v: &'a Value, key: &str) -> Result<&'a str, String> {
         .ok_or_else(|| format!("missing or non-string \"{key}\""))
 }
 
-/// The mode entries of either report shape, in document order.
-pub fn mode_entries(doc: &Value) -> Result<Vec<&Value>, String> {
-    if let Some(modes) = doc.get("modes").and_then(Value::as_array) {
-        if modes.is_empty() {
-            return Err("\"modes\" array is empty — the report measured nothing".into());
-        }
-        return Ok(modes.iter().collect());
+/// A required non-negative integer counter.
+fn require_count(v: &Value, key: &str) -> Result<f64, String> {
+    let n = require_num(v, key)?;
+    if n < 0.0 || n.fract() != 0.0 {
+        return Err(format!(
+            "counter \"{key}\" must be a non-negative integer, got {n}"
+        ));
     }
-    match (doc.get("baseline"), doc.get("optimized")) {
-        (Some(b), Some(o)) => Ok(vec![b, o]),
-        _ => Err("neither \"modes\" nor \"baseline\"/\"optimized\" present".into()),
+    Ok(n)
+}
+
+/// A required boolean gate flag that must be `true`.
+fn require_gate(v: &Value, key: &str) -> Result<(), String> {
+    match v.get(key) {
+        Some(Value::Bool(true)) => Ok(()),
+        Some(Value::Bool(false)) => Err(format!("\"{key}\" is false — gate violated")),
+        _ => Err(format!("missing or non-bool \"{key}\"")),
     }
 }
 
@@ -79,30 +88,18 @@ fn validate_adversarial(doc: &Value) -> Result<(), String> {
             return Err(format!("duplicate attack mode \"{mode}\""));
         }
         seen.push(mode.to_string());
+        let in_mode = |e: String| format!("mode \"{mode}\": {e}");
         for key in ["completed", "exact_accounting"] {
-            match entry.get(key) {
-                Some(Value::Bool(true)) => {}
-                Some(Value::Bool(false)) => {
-                    return Err(format!(
-                        "mode \"{mode}\": \"{key}\" is false — gate violated"
-                    ))
-                }
-                _ => return Err(format!("mode \"{mode}\": missing or non-bool \"{key}\"")),
-            }
+            require_gate(entry, key).map_err(in_mode)?;
         }
         for key in ["completion_secs", "tx_frames", "overhead_ratio"] {
-            let n = require_num(entry, key).map_err(|e| format!("mode \"{mode}\": {e}"))?;
+            let n = require_num(entry, key).map_err(in_mode)?;
             if n < 0.0 {
                 return Err(format!("mode \"{mode}\": \"{key}\" is negative ({n})"));
             }
         }
         for key in ATTACK_COUNTERS {
-            let n = require_num(entry, key).map_err(|e| format!("mode \"{mode}\": {e}"))?;
-            if n < 0.0 || n.fract() != 0.0 {
-                return Err(format!(
-                    "mode \"{mode}\": counter \"{key}\" must be a non-negative integer, got {n}"
-                ));
-            }
+            require_count(entry, key).map_err(in_mode)?;
         }
     }
     for required in REQUIRED_ATTACK_MODES {
@@ -154,33 +151,20 @@ fn validate_faults(doc: &Value) -> Result<(), String> {
             return Err(format!("duplicate cell \"{label}\""));
         }
         seen.push(label.to_string());
+        let in_cell = |e: String| format!("cell \"{label}\": {e}");
         for key in ["completed", "deterministic"] {
-            match entry.get(key) {
-                Some(Value::Bool(true)) => {}
-                Some(Value::Bool(false)) => {
-                    return Err(format!(
-                        "cell \"{label}\": \"{key}\" is false — gate violated"
-                    ))
-                }
-                _ => return Err(format!("cell \"{label}\": missing or non-bool \"{key}\"")),
-            }
+            require_gate(entry, key).map_err(in_cell)?;
         }
         for key in ["completion_secs", "tx_frames"] {
-            let n = require_num(entry, key).map_err(|e| format!("cell \"{label}\": {e}"))?;
+            let n = require_num(entry, key).map_err(in_cell)?;
             if n < 0.0 {
                 return Err(format!("cell \"{label}\": \"{key}\" is negative ({n})"));
             }
         }
         for key in FAULT_COUNTERS {
-            let n = require_num(entry, key).map_err(|e| format!("cell \"{label}\": {e}"))?;
-            if n < 0.0 || n.fract() != 0.0 {
-                return Err(format!(
-                    "cell \"{label}\": counter \"{key}\" must be a non-negative integer, got {n}"
-                ));
-            }
+            require_count(entry, key).map_err(in_cell)?;
         }
-        let refetch =
-            require_num(entry, "resumed_refetch").map_err(|e| format!("cell \"{label}\": {e}"))?;
+        let refetch = require_num(entry, "resumed_refetch").map_err(in_cell)?;
         if refetch != 0.0 {
             return Err(format!(
                 "cell \"{label}\": \"resumed_refetch\" is {refetch} — a resumed \
@@ -263,9 +247,8 @@ const CURVE_COUNTERS: [&str; 10] = [
     "resident_bytes",
 ];
 
-/// Validates the Content Store report shape: header fields, a true
-/// `fifo_trace_match` gate flag, and per-curve entries with at least
-/// three distinct eviction policies, probability-range hit rates,
+/// Validates the Content Store report shape: header fields and per-curve
+/// entries with at least three distinct eviction policies, probability-range hit rates,
 /// non-negative integer counters that decompose lookups exactly, and
 /// true `deterministic`/`audit_clean` flags.
 fn validate_cs(doc: &Value) -> Result<(), String> {
@@ -274,13 +257,6 @@ fn validate_cs(doc: &Value) -> Result<(), String> {
     let objects = require_num(doc, "objects")?;
     if objects < 1.0 {
         return Err(format!("\"objects\" must be positive, got {objects}"));
-    }
-    match doc.get("fifo_trace_match") {
-        Some(Value::Bool(true)) => {}
-        Some(Value::Bool(false)) => {
-            return Err("\"fifo_trace_match\" is false — gate violated".into())
-        }
-        _ => return Err("missing or non-bool \"fifo_trace_match\"".into()),
     }
     let curves = doc
         .get("curves")
@@ -295,35 +271,18 @@ fn validate_cs(doc: &Value) -> Result<(), String> {
         if !policies.iter().any(|p| p == policy) {
             policies.push(policy.to_string());
         }
+        let in_policy = |e: String| format!("policy \"{policy}\": {e}");
         for key in ["deterministic", "audit_clean"] {
-            match entry.get(key) {
-                Some(Value::Bool(true)) => {}
-                Some(Value::Bool(false)) => {
-                    return Err(format!(
-                        "policy \"{policy}\": \"{key}\" is false — gate violated"
-                    ))
-                }
-                _ => {
-                    return Err(format!(
-                        "policy \"{policy}\": missing or non-bool \"{key}\""
-                    ))
-                }
-            }
+            require_gate(entry, key).map_err(in_policy)?;
         }
-        let hit_rate =
-            require_num(entry, "hit_rate").map_err(|e| format!("policy \"{policy}\": {e}"))?;
+        let hit_rate = require_num(entry, "hit_rate").map_err(in_policy)?;
         if !(0.0..=1.0).contains(&hit_rate) {
             return Err(format!(
                 "policy \"{policy}\": \"hit_rate\" must be in [0, 1], got {hit_rate}"
             ));
         }
         for key in CURVE_COUNTERS {
-            let n = require_num(entry, key).map_err(|e| format!("policy \"{policy}\": {e}"))?;
-            if n < 0.0 || n.fract() != 0.0 {
-                return Err(format!(
-                    "policy \"{policy}\": counter \"{key}\" must be a non-negative integer, got {n}"
-                ));
-            }
+            require_count(entry, key).map_err(in_policy)?;
         }
         let get = |key: &str| entry.get(key).and_then(Value::as_f64).unwrap_or(0.0);
         if get("hits") + get("misses") != get("lookups") {
@@ -350,10 +309,25 @@ const CORES_COUNTERS: [&str; 4] = [
     "sync_windows",
 ];
 
+/// Validates one measured run: positive finite timings and non-negative
+/// integer frame counters.
+fn validate_run(entry: &Value) -> Result<(), String> {
+    for key in ["wall_secs", "events_per_sec"] {
+        let n = require_num(entry, key)?;
+        if n <= 0.0 {
+            return Err(format!("\"{key}\" must be positive, got {n}"));
+        }
+    }
+    for key in ["tx_frames", "delivered"] {
+        require_count(entry, key)?;
+    }
+    Ok(())
+}
+
 /// Validates the sharded cores axis of the scheduler report: a finite
 /// positive `shard_speedup_events_per_sec`, a non-empty `cores_axis`
 /// whose first entry is the sequential reference (`cores` = 1), and per
-/// entry positive timings plus non-negative integer shard counters.
+/// entry a valid run plus non-negative integer shard counters.
 fn validate_cores_axis(doc: &Value) -> Result<(), String> {
     let shard_speedup = require_num(doc, "shard_speedup_events_per_sec")?;
     if shard_speedup <= 0.0 {
@@ -369,33 +343,38 @@ fn validate_cores_axis(doc: &Value) -> Result<(), String> {
         return Err("\"cores_axis\" array is empty — the sharded engine measured nothing".into());
     }
     for (i, entry) in axis.iter().enumerate() {
-        let mode = require_str(entry, "mode")?;
-        for key in ["wall_secs", "events_per_sec"] {
-            let n = require_num(entry, key).map_err(|e| format!("cores entry \"{mode}\": {e}"))?;
-            if n <= 0.0 {
-                return Err(format!(
-                    "cores entry \"{mode}\": \"{key}\" must be positive, got {n}"
-                ));
-            }
-        }
+        let in_entry = |e: String| format!("cores entry {i}: {e}");
+        validate_run(entry).map_err(in_entry)?;
         for key in CORES_COUNTERS {
-            let n = require_num(entry, key).map_err(|e| format!("cores entry \"{mode}\": {e}"))?;
-            if n < 0.0 || n.fract() != 0.0 {
-                return Err(format!(
-                    "cores entry \"{mode}\": counter \"{key}\" must be a non-negative \
-                     integer, got {n}"
-                ));
-            }
+            require_count(entry, key).map_err(in_entry)?;
         }
-        if i == 0 {
-            let cores = entry.get("cores").and_then(Value::as_f64).unwrap_or(0.0);
-            if cores != 1.0 {
-                return Err(format!(
-                    "the first cores-axis entry must be the sequential reference \
-                     (cores = 1), got {cores}"
-                ));
-            }
+        let cores = require_num(entry, "cores")?;
+        if i == 0 && cores != 1.0 {
+            return Err(format!(
+                "the first cores-axis entry must be the sequential reference \
+                 (cores = 1), got {cores}"
+            ));
         }
+    }
+    Ok(())
+}
+
+/// Validates an engine-throughput report (`perf_hotpath`/`perf_sched`):
+/// the host record, a true `deterministic` gate flag and the measured
+/// `run`; the scheduler report additionally commits its cores axis.
+fn validate_perf(doc: &Value) -> Result<(), String> {
+    require_num(doc, "nodes")?;
+    require_num(doc, "seed")?;
+    let host_cores = require_count(doc, "host_cores")?;
+    if host_cores < 1.0 {
+        return Err(format!("\"host_cores\" must be positive, got {host_cores}"));
+    }
+    require_str(doc, "build_profile")?;
+    require_gate(doc, "deterministic")?;
+    let run = doc.get("run").ok_or("missing \"run\"")?;
+    validate_run(run).map_err(|e| format!("run: {e}"))?;
+    if require_str(doc, "scenario")? == "perf_sched" {
+        validate_cores_axis(doc)?;
     }
     Ok(())
 }
@@ -403,8 +382,8 @@ fn validate_cores_axis(doc: &Value) -> Result<(), String> {
 /// Validates one parsed report document against the CI schema. Documents
 /// carrying an `attacks` key use the adversarial shape, documents with a
 /// `curves` array the Content Store shape, documents with a `cells` array
-/// the fault-injection shape; everything else is a perf report (scheduler
-/// or hot-path shape).
+/// the fault-injection shape; everything else is an engine-throughput
+/// report (scheduler or hot-path shape).
 pub fn validate(doc: &Value) -> Result<(), String> {
     require_str(doc, "scenario")?;
     if doc.get("attacks").is_some() {
@@ -416,31 +395,12 @@ pub fn validate(doc: &Value) -> Result<(), String> {
     if doc.get("cells").is_some() {
         return validate_faults(doc);
     }
-    require_num(doc, "nodes")?;
-    require_num(doc, "seed")?;
-    let speedup = require_num(doc, "speedup_events_per_sec")?;
-    if speedup <= 0.0 {
-        return Err(format!(
-            "\"speedup_events_per_sec\" must be positive, got {speedup}"
-        ));
-    }
-    for entry in mode_entries(doc)? {
-        let mode = require_str(entry, "mode")?;
-        for key in ["wall_secs", "events_per_sec", "tx_frames", "delivered"] {
-            require_num(entry, key).map_err(|e| format!("mode \"{mode}\": {e}"))?;
-        }
-    }
-    // The scheduler report additionally commits the sharded cores axis;
-    // the hot-path shape has no sharded engine and carries neither key.
-    if require_str(doc, "scenario")? == "perf_sched" {
-        validate_cores_axis(doc)?;
-    }
-    Ok(())
+    validate_perf(doc)
 }
 
-/// Renders the GitHub-flavoured markdown speedup table for one report.
-/// Reports that carry the decode-free relay and arena counters (the
-/// scheduler shape) get them as extra columns; older shapes render `-`.
+/// Renders the GitHub-flavoured markdown table for one report. Runs that
+/// carry the decode-free relay and arena counters (the scheduler shape)
+/// fill those columns; the hot-path shape renders `-`.
 pub fn summary(doc: &Value) -> Result<String, String> {
     let scenario = require_str(doc, "scenario")?;
     let nodes = require_num(doc, "nodes")?;
@@ -525,38 +485,31 @@ pub fn summary(doc: &Value) -> Result<String, String> {
         }
         return Ok(out);
     }
-    let speedup = require_num(doc, "speedup_events_per_sec")?;
-    let mut out = format!(
-        "### `{scenario}` ({nodes} nodes) — {speedup:.2}x events/sec\n\n\
-         | mode | events/sec | wall (s) | vs baseline | relay-patched | PIT live | CS live |\n\
-         | --- | ---: | ---: | ---: | ---: | ---: | ---: |\n"
-    );
-    let entries = mode_entries(doc)?;
-    let base_eps = require_num(entries[0], "events_per_sec")?.max(1e-9);
     let opt_u64 = |entry: &Value, key: &str| -> String {
         entry
             .get(key)
             .and_then(Value::as_f64)
             .map_or_else(|| "-".into(), |n| format!("{n:.0}"))
     };
-    for entry in entries {
-        let mode = require_str(entry, "mode")?;
-        let eps = require_num(entry, "events_per_sec")?;
-        let wall = require_num(entry, "wall_secs")?;
-        out.push_str(&format!(
-            "| `{mode}` | {eps:.0} | {wall:.3} | {:.2}x | {} | {} | {} |\n",
-            eps / base_eps,
-            opt_u64(entry, "frames_relay_patched"),
-            opt_u64(entry, "pit_arena_live"),
-            opt_u64(entry, "cs_arena_live"),
-        ));
-    }
+    let run = doc.get("run").ok_or("missing \"run\"")?;
+    let mut out = format!(
+        "### `{scenario}` ({nodes} nodes; {} host cores, {} build)\n\n\
+         | events/sec | wall (s) | tx frames | delivered | relay-patched | PIT live | CS live |\n\
+         | ---: | ---: | ---: | ---: | ---: | ---: | ---: |\n\
+         | {:.0} | {:.3} | {} | {} | {} | {} | {} |\n",
+        opt_u64(doc, "host_cores"),
+        require_str(doc, "build_profile")?,
+        require_num(run, "events_per_sec")?,
+        require_num(run, "wall_secs")?,
+        opt_u64(run, "tx_frames"),
+        opt_u64(run, "delivered"),
+        opt_u64(run, "frames_relay_patched"),
+        opt_u64(run, "pit_arena_live"),
+        opt_u64(run, "cs_arena_live"),
+    );
     if let Some(axis) = doc.get("cores_axis").and_then(Value::as_array) {
-        if !axis.is_empty() {
-            let shard_speedup = doc
-                .get("shard_speedup_events_per_sec")
-                .and_then(Value::as_f64)
-                .unwrap_or(1.0);
+        if let Some(first) = axis.first() {
+            let shard_speedup = require_num(doc, "shard_speedup_events_per_sec")?;
             let axis_nodes = doc
                 .get("cores_axis_nodes")
                 .and_then(Value::as_f64)
@@ -564,15 +517,14 @@ pub fn summary(doc: &Value) -> Result<String, String> {
             out.push_str(&format!(
                 "\n**Sharded engine** ({axis_nodes:.0} nodes) — {shard_speedup:.2}x \
                  events/sec over the sequential run\n\n\
-                 | mode | cores | events/sec | vs 1 core | border tx/rx | windows |\n\
-                 | --- | ---: | ---: | ---: | ---: | ---: |\n"
+                 | cores | events/sec | vs 1 core | border tx/rx | windows |\n\
+                 | ---: | ---: | ---: | ---: | ---: |\n"
             ));
-            let seq_eps = require_num(&axis[0], "events_per_sec")?.max(1e-9);
+            let seq_eps = require_num(first, "events_per_sec")?.max(1e-9);
             for entry in axis {
-                let mode = require_str(entry, "mode")?;
                 let eps = require_num(entry, "events_per_sec")?;
                 out.push_str(&format!(
-                    "| `{mode}` | {} | {eps:.0} | {:.2}x | {}/{} | {} |\n",
+                    "| {} | {eps:.0} | {:.2}x | {}/{} | {} |\n",
                     opt_u64(entry, "cores"),
                     eps / seq_eps,
                     opt_u64(entry, "border_tx_exported"),
@@ -592,45 +544,44 @@ mod tests {
 
     fn cores_entry(cores: u64, eps: f64) -> String {
         format!(
-            "{{\"mode\": \"wheel_lazy_batched_patch_c{cores}\", \"cores\": {cores}, \
-              \"wall_secs\": 1.0, \"events_per_sec\": {eps}, \"tx_frames\": 5, \
-              \"delivered\": 9, \"border_tx_exported\": 4, \
+            "{{\"cores\": {cores}, \"wall_secs\": 1.0, \"events_per_sec\": {eps}, \
+              \"tx_frames\": 5, \"delivered\": 9, \"border_tx_exported\": 4, \
               \"border_rx_injected\": 4, \"sync_windows\": 12}}"
         )
     }
 
-    fn sched_doc(speedup: &str, modes_body: &str) -> String {
+    fn sched_doc(shard_speedup: &str, run: &str) -> String {
         format!(
             "{{\"scenario\": \"perf_sched\", \"nodes\": 4, \"seed\": 1, \
-             \"speedup_events_per_sec\": {speedup}, \"modes\": [{modes_body}], \
-             \"shard_speedup_events_per_sec\": 1.5, \
+             \"host_cores\": 8, \"build_profile\": \"release\", \
+             \"deterministic\": true, \"run\": {run}, \
+             \"shard_speedup_events_per_sec\": {shard_speedup}, \
              \"cores_axis_nodes\": 4, \"cores_axis\": [{}, {}]}}",
             cores_entry(1, 10.0),
             cores_entry(4, 15.0),
         )
     }
 
-    fn mode_entry() -> &'static str {
-        "{\"mode\": \"heap_eager_perrecv\", \"wall_secs\": 1.0, \
-          \"events_per_sec\": 10.0, \"tx_frames\": 5, \"delivered\": 9}"
+    fn run_entry() -> &'static str {
+        "{\"cores\": 1, \"wall_secs\": 1.0, \"events_per_sec\": 10.0, \
+          \"tx_frames\": 5, \"delivered\": 9}"
     }
 
     #[test]
     fn accepts_a_well_formed_report() {
-        let doc = parse(&sched_doc("2.5", mode_entry())).expect("parses");
+        let doc = parse(&sched_doc("1.5", run_entry())).expect("parses");
         assert_eq!(validate(&doc), Ok(()));
         let table = summary(&doc).expect("summary renders");
-        assert!(table.contains("`heap_eager_perrecv`"));
-        assert!(table.contains("2.50x"));
+        assert!(table.contains("8 host cores, release build"), "{table}");
+        assert!(table.contains("| 10 | 1.000 | 5 | 9 |"), "{table}");
         // The sharded cores axis renders as its own table.
         assert!(table.contains("Sharded engine"), "{table}");
-        assert!(table.contains("`wheel_lazy_batched_patch_c4`"), "{table}");
-        assert!(table.contains("1.50x"), "{table}");
+        assert!(table.contains("| 4 | 15 | 1.50x |"), "{table}");
     }
 
     #[test]
     fn rejects_a_sched_report_without_the_cores_axis() {
-        let doc_text = sched_doc("2.5", mode_entry())
+        let doc_text = sched_doc("1.5", run_entry())
             .replace(", \"cores_axis_nodes\": 4", "")
             .replace(
                 &format!(
@@ -648,7 +599,7 @@ mod tests {
     #[test]
     fn rejects_a_cores_axis_not_anchored_at_one_core() {
         let doc_text =
-            sched_doc("2.5", mode_entry()).replace(&cores_entry(1, 10.0), &cores_entry(2, 10.0));
+            sched_doc("1.5", run_entry()).replace(&cores_entry(1, 10.0), &cores_entry(2, 10.0));
         let doc = parse(&doc_text).expect("parses");
         let err = validate(&doc).expect_err("first entry not sequential");
         assert!(err.contains("sequential reference"), "{err}");
@@ -656,7 +607,7 @@ mod tests {
 
     #[test]
     fn rejects_fractional_border_counters() {
-        let doc_text = sched_doc("2.5", mode_entry())
+        let doc_text = sched_doc("1.5", run_entry())
             .replace("\"border_tx_exported\": 4", "\"border_tx_exported\": 4.5");
         let doc = parse(&doc_text).expect("parses");
         let err = validate(&doc).expect_err("fractional border counter");
@@ -665,27 +616,41 @@ mod tests {
 
     #[test]
     fn rejects_a_non_positive_shard_speedup() {
-        let doc_text = sched_doc("2.5", mode_entry()).replace(
-            "\"shard_speedup_events_per_sec\": 1.5",
-            "\"shard_speedup_events_per_sec\": 0",
-        );
-        let doc = parse(&doc_text).expect("parses");
+        let doc = parse(&sched_doc("0", run_entry())).expect("parses");
         let err = validate(&doc).expect_err("zero shard speedup");
         assert!(err.contains("shard_speedup_events_per_sec"), "{err}");
     }
 
     #[test]
     fn hotpath_shape_needs_no_cores_axis() {
-        let doc = parse(
-            "{\"scenario\": \"perf_hotpath\", \"nodes\": 4, \"seed\": 1, \
-             \"speedup_events_per_sec\": 2.0, \
-             \"baseline\": {\"mode\": \"legacy\", \"wall_secs\": 1.0, \
-              \"events_per_sec\": 10.0, \"tx_frames\": 5, \"delivered\": 9}, \
-             \"optimized\": {\"mode\": \"zero_copy\", \"wall_secs\": 0.5, \
-              \"events_per_sec\": 20.0, \"tx_frames\": 5, \"delivered\": 9}}",
-        )
-        .expect("parses");
+        let text = format!(
+            "{{\"scenario\": \"perf_hotpath\", \"nodes\": 4, \"seed\": 1, \
+             \"host_cores\": 2, \"build_profile\": \"release\", \
+             \"deterministic\": true, \"run\": {}}}",
+            run_entry()
+        );
+        let doc = parse(&text).expect("parses");
         assert_eq!(validate(&doc), Ok(()));
+        assert!(summary(&doc).expect("renders").contains("| - | - | - |"));
+    }
+
+    #[test]
+    fn rejects_a_perf_report_without_host_or_determinism_record() {
+        for (from, to, want) in [
+            ("\"host_cores\": 8, ", "", "host_cores"),
+            ("\"host_cores\": 8", "\"host_cores\": 0", "host_cores"),
+            ("\"build_profile\": \"release\", ", "", "build_profile"),
+            (
+                "\"deterministic\": true",
+                "\"deterministic\": false",
+                "gate violated",
+            ),
+            ("\"deterministic\": true, ", "", "deterministic"),
+        ] {
+            let doc = parse(&sched_doc("1.5", run_entry()).replacen(from, to, 1)).expect("parses");
+            let err = validate(&doc).expect_err(want);
+            assert!(err.contains(want), "{err}");
+        }
     }
 
     #[test]
@@ -695,41 +660,60 @@ mod tests {
         // division would commit. The parser reads them as nulls/errors;
         // either way validation must name the field.
         for bad in ["null", "\"NaN\"", "\"inf\"", "1e999"] {
-            let doc_text = sched_doc(bad, mode_entry());
-            let Ok(doc) = parse(&doc_text) else {
-                continue; // unparseable is an even earlier failure
-            };
-            let err = validate(&doc).expect_err(&format!("speedup {bad} must fail"));
-            assert!(
-                err.contains("speedup_events_per_sec"),
-                "error must name the field: {err}"
+            let run = run_entry().replace(
+                "\"events_per_sec\": 10.0",
+                &format!("\"events_per_sec\": {bad}"),
             );
+            for doc_text in [sched_doc(bad, run_entry()), sched_doc("1.5", &run)] {
+                let Ok(doc) = parse(&doc_text) else {
+                    continue; // unparseable is an even earlier failure
+                };
+                let err = validate(&doc).expect_err(&format!("{bad} must fail"));
+                assert!(
+                    err.contains("events_per_sec"),
+                    "error must name the field: {err}"
+                );
+            }
         }
     }
 
     #[test]
     fn rejects_zero_and_negative_speedups() {
         for bad in ["0", "-3.5"] {
-            let doc = parse(&sched_doc(bad, mode_entry())).expect("parses");
-            let err = validate(&doc).expect_err("non-positive speedup");
-            assert!(err.contains("must be positive"), "{err}");
+            let run = run_entry().replace(
+                "\"events_per_sec\": 10.0",
+                &format!("\"events_per_sec\": {bad}"),
+            );
+            for doc_text in [sched_doc(bad, run_entry()), sched_doc("1.5", &run)] {
+                let doc = parse(&doc_text).expect("parses");
+                let err = validate(&doc).expect_err("non-positive throughput");
+                assert!(err.contains("must be positive"), "{err}");
+            }
         }
     }
 
     #[test]
-    fn rejects_an_empty_modes_array() {
-        let doc = parse(&sched_doc("2.0", "")).expect("parses");
-        let err = validate(&doc).expect_err("empty modes");
-        assert!(err.contains("\"modes\" array is empty"), "{err}");
+    fn rejects_an_empty_cores_axis() {
+        let doc_text = sched_doc("1.5", run_entry()).replace(
+            &format!("[{}, {}]", cores_entry(1, 10.0), cores_entry(4, 15.0)),
+            "[]",
+        );
+        let doc = parse(&doc_text).expect("parses");
+        let err = validate(&doc).expect_err("empty cores axis");
+        assert!(err.contains("\"cores_axis\" array is empty"), "{err}");
     }
 
     #[test]
     fn rejects_non_finite_mode_fields() {
-        let entry = "{\"mode\": \"m\", \"wall_secs\": 1e999, \
-                     \"events_per_sec\": 10.0, \"tx_frames\": 5, \"delivered\": 9}";
-        let doc = parse(&sched_doc("2.0", entry)).expect("parses");
+        let run = "{\"wall_secs\": 1e999, \"events_per_sec\": 10.0, \
+                   \"tx_frames\": 5, \"delivered\": 9}";
+        let doc = parse(&sched_doc("1.5", run)).expect("parses");
         let err = validate(&doc).expect_err("infinite wall_secs");
-        assert!(err.contains("wall_secs") && err.contains("\"m\""), "{err}");
+        assert!(err.contains("wall_secs") && err.contains("run"), "{err}");
+        let run = run_entry().replace("\"tx_frames\": 5", "\"tx_frames\": 5.5");
+        let doc = parse(&sched_doc("1.5", &run)).expect("parses");
+        let err = validate(&doc).expect_err("fractional tx_frames");
+        assert!(err.contains("tx_frames"), "{err}");
     }
 
     fn attack_entry(mode: &str, extra: &str) -> String {
@@ -846,7 +830,7 @@ mod tests {
     fn cs_doc(curves: &[String]) -> String {
         format!(
             "{{\"scenario\": \"cs\", \"nodes\": 1, \"seed\": 42, \
-             \"objects\": 1000, \"fifo_trace_match\": true, \
+             \"objects\": 1000, \
              \"curves\": [{}]}}",
             curves.join(", ")
         )
@@ -882,11 +866,6 @@ mod tests {
     #[test]
     fn rejects_cs_gate_flag_violations() {
         for (from, to, want) in [
-            (
-                "\"fifo_trace_match\": true",
-                "\"fifo_trace_match\": false",
-                "fifo_trace_match",
-            ),
             (
                 "\"deterministic\": true",
                 "\"deterministic\": false",
@@ -1042,15 +1021,14 @@ mod tests {
 
     #[test]
     fn summary_surfaces_relay_and_arena_counters_when_present() {
-        let entry = "{\"mode\": \"wheel_lazy_batched_patch\", \"wall_secs\": 0.5, \
-                     \"events_per_sec\": 40.0, \"tx_frames\": 5, \"delivered\": 9, \
-                     \"frames_relay_patched\": 123, \"pit_arena_live\": 7, \
-                     \"cs_arena_live\": 11}";
-        let doc = parse(&sched_doc("4.0", entry)).expect("parses");
+        let run = "{\"cores\": 1, \"wall_secs\": 0.5, \"events_per_sec\": 40.0, \
+                   \"tx_frames\": 5, \"delivered\": 9, \"frames_relay_patched\": 123, \
+                   \"pit_arena_live\": 7, \"cs_arena_live\": 11}";
+        let doc = parse(&sched_doc("1.5", run)).expect("parses");
         let table = summary(&doc).expect("renders");
         assert!(table.contains("| 123 | 7 | 11 |"), "{table}");
-        // A report without the counters still renders, with placeholders.
-        let old = parse(&sched_doc("4.0", mode_entry())).expect("parses");
-        assert!(summary(&old).expect("renders").contains("| - | - | - |"));
+        // A run without the counters still renders, with placeholders.
+        let bare = parse(&sched_doc("1.5", run_entry())).expect("parses");
+        assert!(summary(&bare).expect("renders").contains("| - | - | - |"));
     }
 }

@@ -10,12 +10,11 @@
 //! and every [`CsParams::refresh_every`]-th Interest re-inserts even on a
 //! hit, exercising the refresh rank of each policy.
 //!
-//! Three determinism gates pin the refactor:
+//! The historical count-capped FIFO shape also runs once; its hit/miss
+//! trace (FNV-1a folded) is recorded as the report's `trace_fnv`. Its
+//! equivalence with a naive `Name`-keyed FIFO cache is the differential
+//! property test in `dapes-ndn`. Two gates pin the sweep:
 //!
-//! * **Trace equivalence** — the FIFO count-capped cell runs once on the
-//!   wire-arena tables and once on the legacy tables; their hit/miss
-//!   traces (FNV-1a folded) must be bit-identical, so the budgeted
-//!   rebuild reproduces the pre-refactor store exactly.
 //! * **Self-determinism** — every cell runs twice in-process; trace and
 //!   final counters must match, so committed reports reproduce.
 //! * **Exact accounting** — every store passes [`ContentStore::audit`]
@@ -113,7 +112,7 @@ pub struct CsCell {
     pub audit_clean: bool,
 }
 
-/// The full sweep plus the FIFO trace-equivalence cells.
+/// The full sweep plus the count-capped FIFO trace cell.
 #[derive(Clone, Debug)]
 pub struct CsRun {
     /// Corpus size in objects.
@@ -121,22 +120,12 @@ pub struct CsRun {
     /// Byte footprint of the whole corpus under the byte-budget cost
     /// model (`wire_size + ENTRY_OVERHEAD` per object).
     pub full_budget_bytes: usize,
-    /// FIFO count-capped trace on the wire-arena tables.
-    pub trace_fnv_wire: u64,
-    /// The same workload on the legacy table generation.
-    pub trace_fnv_legacy: u64,
-    /// Whether both trace-equivalence stores passed their audits.
+    /// FIFO count-capped hit/miss trace.
+    pub trace_fnv: u64,
+    /// Whether the count-capped FIFO store passed its audit.
     pub trace_audit_clean: bool,
     /// Policy × budget sweep cells.
     pub cells: Vec<CsCell>,
-}
-
-impl CsRun {
-    /// Whether the wire-arena FIFO store replayed the legacy store's
-    /// hit/miss trace bit for bit.
-    pub fn fifo_trace_match(&self) -> bool {
-        self.trace_fnv_wire == self.trace_fnv_legacy
-    }
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -243,21 +232,17 @@ fn run_cell(
     }
 }
 
-/// Runs the whole sweep: the trace-equivalence pair, then every
+/// Runs the whole sweep: the count-capped FIFO trace cell, then every
 /// policy × budget cell (each twice, for the self-determinism gate).
 pub fn run_all(params: &CsParams) -> CsRun {
     let (corpus, costs) = build_corpus(params);
     let zipf = ZipfSampler::new(corpus.len(), params.zipf_s);
     let full_budget_bytes: usize = corpus.iter().map(|d| d.wire_size() + ENTRY_OVERHEAD).sum();
 
-    // Trace equivalence: the historical count-capped FIFO shape on both
-    // table generations must replay the same hit/miss sequence.
-    let cap = (corpus.len() / 4).max(1);
-    let mut wire = ContentStore::new(cap);
-    let trace_fnv_wire = run_workload(&corpus, &costs, &zipf, params, &mut wire);
-    let mut legacy = ContentStore::legacy(cap);
-    let trace_fnv_legacy = run_workload(&corpus, &costs, &zipf, params, &mut legacy);
-    let trace_audit_clean = wire.audit().is_ok() && legacy.audit().is_ok();
+    // The historical count-capped FIFO shape.
+    let mut fifo = ContentStore::new((corpus.len() / 4).max(1));
+    let trace_fnv = run_workload(&corpus, &costs, &zipf, params, &mut fifo);
+    let trace_audit_clean = fifo.audit().is_ok();
 
     let mut cells = Vec::new();
     for policy in EvictionPolicyKind::ALL {
@@ -281,8 +266,7 @@ pub fn run_all(params: &CsParams) -> CsRun {
     CsRun {
         objects: corpus.len(),
         full_budget_bytes,
-        trace_fnv_wire,
-        trace_fnv_legacy,
+        trace_fnv,
         trace_audit_clean,
         cells,
     }
@@ -290,22 +274,15 @@ pub fn run_all(params: &CsParams) -> CsRun {
 
 /// The CI gate: returns the first violated invariant.
 ///
-/// * the wire-arena FIFO trace equals the legacy trace (bit-identical
-///   pre-refactor behaviour);
-/// * both trace stores and every cell pass the exact-accounting audit;
+/// * the count-capped FIFO store and every cell pass the
+///   exact-accounting audit;
 /// * every cell reproduces itself on a second in-process run;
 /// * hit and miss counters decompose lookups exactly and the hit rate is
 ///   a probability;
 /// * a full-size budget serves every Interest from cache.
 pub fn gate(run: &CsRun) -> Result<(), String> {
-    if !run.fifo_trace_match() {
-        return Err(format!(
-            "FIFO trace diverged: wire {:#018x} vs legacy {:#018x}",
-            run.trace_fnv_wire, run.trace_fnv_legacy
-        ));
-    }
     if !run.trace_audit_clean {
-        return Err("trace-equivalence stores failed their audit".into());
+        return Err("count-capped FIFO store failed its audit".into());
     }
     for cell in &run.cells {
         let label = format!(
@@ -389,7 +366,6 @@ pub fn render_report(params: &CsParams, run: &CsRun) -> String {
             "  \"zipf_s\": {zipf:.3},\n",
             "  \"refresh_every\": {refresh},\n",
             "  \"full_budget_bytes\": {full},\n",
-            "  \"fifo_trace_match\": {trace_match},\n",
             "  \"trace_fnv\": \"{trace_fnv:#018x}\",\n",
             "  \"curves\": [\n{curves}\n  ]\n",
             "}}\n"
@@ -403,8 +379,7 @@ pub fn render_report(params: &CsParams, run: &CsRun) -> String {
         zipf = params.zipf_s,
         refresh = params.refresh_every,
         full = run.full_budget_bytes,
-        trace_match = run.fifo_trace_match(),
-        trace_fnv = run.trace_fnv_wire,
+        trace_fnv = run.trace_fnv,
         curves = curves.join(",\n"),
     )
 }
@@ -447,7 +422,6 @@ mod tests {
         let params = tiny();
         let run = run_all(&params);
         assert_eq!(gate(&run), Ok(()));
-        assert!(run.fifo_trace_match());
         // Constrained cells actually churn; full-budget cells never miss.
         for cell in &run.cells {
             if cell.budget_frac >= 1.0 {
@@ -508,10 +482,14 @@ mod tests {
     }
 
     #[test]
-    fn gate_rejects_a_diverged_fifo_trace() {
+    fn gate_rejects_a_failed_audit_or_a_nondeterministic_cell() {
         let mut run = run_all(&tiny());
-        run.trace_fnv_legacy ^= 1;
-        let err = gate(&run).expect_err("diverged trace");
-        assert!(err.contains("FIFO trace diverged"), "{err}");
+        run.trace_audit_clean = false;
+        let err = gate(&run).expect_err("failed audit");
+        assert!(err.contains("audit"), "{err}");
+        let mut run = run_all(&tiny());
+        run.cells[0].deterministic = false;
+        let err = gate(&run).expect_err("nondeterministic cell");
+        assert!(err.contains("second run diverged"), "{err}");
     }
 }

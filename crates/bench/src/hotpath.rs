@@ -1,61 +1,23 @@
 //! The hot-path benchmark: measures the simulate-and-forward fast path and
-//! records the perf trajectory in `BENCH_hotpath.json`.
+//! records it in `BENCH_hotpath.json`.
 //!
-//! A dense swarm of beaconing/relaying nodes exercises exactly the three
-//! paths this repository's zero-copy refactor attacked:
-//!
-//! 1. **receiver selection** — spatial grid (O(k)) vs. the original
-//!    brute-force O(N) scan per transmission,
-//! 2. **frame buffers** — one shared `Payload` per broadcast vs. per-hop
-//!    deep copies,
-//! 3. **packet encoding** — the encode-once wire cache (seeded by
-//!    `decode_payload`) vs. re-encoding every relayed packet.
-//!
-//! Both modes run the *same protocol trace* (same seeds, same RNG draw
-//! order, bit-identical frame counts — asserted by a test below); only the
-//! per-event work differs. [`HotpathMode::Legacy`] reproduces the
-//! pre-refactor cost model — brute-force delivery scans, fresh `encode()`
-//! per transmission, and the deep per-packet clone the Content Store used
-//! to make — so the recorded baseline is measured on the same machine and
-//! binary as the optimized run.
+//! A dense swarm of beaconing/relaying nodes exercises the per-frame data
+//! path: receiver selection through the spatial grid, one shared `Payload`
+//! per broadcast, and the encode-once wire cache (seeded by
+//! `decode_payload`) that sends a relayed packet's received bytes straight
+//! back on the air.
 
+use crate::perf::{host_json, Trace};
 use dapes_ndn::cs::ContentStore;
-use dapes_ndn::name::{Component, Name};
+use dapes_ndn::name::Name;
 use dapes_ndn::packet::Data;
 use dapes_netsim::prelude::*;
 use rand::Rng;
 use std::any::Any;
 use std::time::Instant;
 
-/// Which cost model the run uses. Traces are bit-identical across modes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum HotpathMode {
-    /// Pre-refactor cost model: O(N) delivery scan, re-encode per hop,
-    /// deep per-packet clones into the cache.
-    Legacy,
-    /// The zero-copy hot path: spatial grid, shared buffers, wire cache.
-    ZeroCopy,
-}
-
-impl HotpathMode {
-    fn delivery(self) -> DeliveryMode {
-        match self {
-            HotpathMode::Legacy => DeliveryMode::BruteForce,
-            HotpathMode::ZeroCopy => DeliveryMode::Grid,
-        }
-    }
-
-    /// Label used in the JSON report.
-    pub fn label(self) -> &'static str {
-        match self {
-            HotpathMode::Legacy => "legacy",
-            HotpathMode::ZeroCopy => "zero_copy",
-        }
-    }
-}
-
 /// Parameters of the hot-path scenario.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct HotpathParams {
     /// Swarm size (the acceptance scenario uses ≥ 200).
     pub nodes: usize,
@@ -108,46 +70,59 @@ impl HotpathParams {
         }
     }
 
+    /// The pinned trace of the named presets ([`dense`](Self::dense),
+    /// [`smoke`](Self::smoke)); `None` for any other parameters.
+    pub fn pinned_trace(&self) -> Option<Trace> {
+        let (events, tx_frames, delivered) = if *self == HotpathParams::dense() {
+            DENSE_PIN
+        } else if *self == HotpathParams::smoke() {
+            SMOKE_PIN
+        } else {
+            return None;
+        };
+        Some(Trace {
+            events,
+            tx_frames,
+            delivered,
+        })
+    }
+
     fn sim_deadline(&self) -> SimTime {
         // One beacon per period per node, plus drain time.
         SimTime::from_micros((self.beacons as u64 * (self.beacon_period_ms + 200) + 5_000) * 1_000)
     }
 }
 
+/// Pinned `(events, tx_frames, delivered)` of [`HotpathParams::dense`].
+const DENSE_PIN: (u64, u64, u64) = (154_348, 29_792, 182_719);
+/// Pinned `(events, tx_frames, delivered)` of [`HotpathParams::smoke`].
+const SMOKE_PIN: (u64, u64, u64) = (6_391, 1_386, 10_885);
+
 const KIND_BEACON: FrameKind = FrameKind(40);
 const KIND_RELAY: FrameKind = FrameKind(41);
 
 /// A beacon-and-relay stack: emits named Data beacons and floods each newly
-/// heard packet onward with some probability, deduplicating via a real
-/// [`ContentStore`]. The `mode` selects the legacy or zero-copy cost model;
-/// both make identical RNG draws so the traces match.
+/// heard packet onward with some probability, caching everything it hears
+/// in a real [`ContentStore`].
 #[derive(Debug)]
 struct RelayStack {
-    mode: HotpathMode,
     payload_bytes: usize,
     beacon_period_ms: u64,
     beacons_left: u32,
     seq: u64,
     relay_prob: f64,
     cs: ContentStore,
-    /// Bytes this stack deep-copied (encode rebuilds + cache clones);
-    /// structurally zero in [`HotpathMode::ZeroCopy`].
-    bytes_cloned: u64,
-    frames_seen: u64,
 }
 
 impl RelayStack {
-    fn new(mode: HotpathMode, params: &HotpathParams) -> Self {
+    fn new(params: &HotpathParams) -> Self {
         RelayStack {
-            mode,
             payload_bytes: params.payload_bytes,
             beacon_period_ms: params.beacon_period_ms,
             beacons_left: params.beacons,
             seq: 0,
             relay_prob: params.relay_prob,
             cs: ContentStore::new(4096),
-            bytes_cloned: 0,
-            frames_seen: 0,
         }
     }
 
@@ -156,31 +131,6 @@ impl RelayStack {
         let base = self.beacon_period_ms * 900; // 90 % of the period, in µs
         let jitter = ctx.rng().gen_range(0..self.beacon_period_ms * 200);
         ctx.set_timer(SimDuration::from_micros(base + jitter), 1);
-    }
-
-    /// Stores `data` in the Content Store under the active cost model: the
-    /// pre-refactor insert deep-cloned the packet, so legacy mode rebuilds
-    /// name components and content from their bytes to charge exactly the
-    /// allocations the old `Data::clone` made; zero-copy mode inserts an
-    /// `Arc`-sharing clone.
-    fn store(&mut self, data: &Data, now: SimTime) {
-        match self.mode {
-            HotpathMode::Legacy => {
-                let name = Name::from_components(
-                    data.name()
-                        .components()
-                        .iter()
-                        .map(|c| Component::from_bytes(c.as_bytes().to_vec()))
-                        .collect(),
-                );
-                let copy = Data::new(name, data.content().to_vec());
-                self.bytes_cloned += data.content().len() as u64;
-                self.cs.insert(copy, now);
-            }
-            HotpathMode::ZeroCopy => {
-                self.cs.insert(data.clone(), now);
-            }
-        }
     }
 }
 
@@ -197,37 +147,23 @@ impl NetStack for RelayStack {
         self.seq += 1;
         let name = Name::from_uri(&format!("/hotpath/n{}/{}", ctx.node.0, self.seq));
         let data = Data::new(name, vec![0xBE; self.payload_bytes]);
-        self.store(&data, ctx.now);
-        match self.mode {
-            HotpathMode::Legacy => {
-                let wire = data.encode();
-                self.bytes_cloned += wire.len() as u64;
-                ctx.send_frame(wire, KIND_BEACON, 0, SimDuration::ZERO);
-            }
-            HotpathMode::ZeroCopy => {
-                ctx.send_frame(data.wire(), KIND_BEACON, 0, SimDuration::ZERO);
-            }
-        }
+        self.cs.insert(data.clone(), ctx.now);
+        ctx.send_frame(data.wire(), KIND_BEACON, 0, SimDuration::ZERO);
         if self.beacons_left > 0 {
             self.schedule_beacon(ctx);
         }
     }
 
     fn on_frame(&mut self, ctx: &mut NodeCtx<'_>, frame: &Frame) {
-        self.frames_seen += 1;
         // Every received frame is decoded and cached — the pure-forwarder
-        // overhearing behaviour (paper §V-A). The zero-copy decode borrows
-        // the content straight out of the received buffer.
-        let data = match self.mode {
-            HotpathMode::Legacy => Data::decode(&frame.payload),
-            HotpathMode::ZeroCopy => Data::decode_payload(&frame.payload),
+        // overhearing behaviour (paper §V-A). The decode borrows the content
+        // straight out of the received buffer.
+        let Ok(data) = Data::decode_payload(&frame.payload) else {
+            return;
         };
-        let Ok(data) = data else { return };
-        self.store(&data, ctx.now);
+        self.cs.insert(data.clone(), ctx.now);
         // Only first-hand beacons are relayed (a relayed copy carries
-        // KIND_RELAY and stops), which bounds the flood without any
-        // mode-dependent control flow. One RNG draw per beacon frame in
-        // both modes keeps the traces aligned.
+        // KIND_RELAY and stops), which bounds the flood.
         if frame.kind != KIND_BEACON {
             return;
         }
@@ -236,18 +172,9 @@ impl NetStack for RelayStack {
             return;
         }
         let delay = SimDuration::from_micros(ctx.rng().gen_range(0..20_000));
-        match self.mode {
-            HotpathMode::Legacy => {
-                let wire = data.encode(); // re-encode per hop
-                self.bytes_cloned += wire.len() as u64;
-                ctx.send_frame(wire, KIND_RELAY, 0, delay);
-            }
-            HotpathMode::ZeroCopy => {
-                // Seeded by decode_payload: the received allocation goes
-                // straight back on the air.
-                ctx.send_frame(data.wire(), KIND_RELAY, 0, delay);
-            }
-        }
+        // Seeded by decode_payload: the received allocation goes straight
+        // back on the air.
+        ctx.send_frame(data.wire(), KIND_RELAY, 0, delay);
     }
 
     fn live_state_bytes(&self) -> usize {
@@ -266,8 +193,6 @@ impl NetStack for RelayStack {
 /// Measured outcome of one hot-path run.
 #[derive(Clone, Debug)]
 pub struct HotpathResult {
-    /// Which cost model ran.
-    pub mode: HotpathMode,
     /// Wall-clock seconds for the whole run.
     pub wall_secs: f64,
     /// Event dispatches in the run.
@@ -280,27 +205,34 @@ pub struct HotpathResult {
     pub delivered: u64,
     /// Payload bytes delivered (all via shared buffers).
     pub delivered_payload_bytes: u64,
-    /// Bytes deep-copied by the stacks (re-encodes + cache clones).
-    pub bytes_cloned: u64,
     /// The full simulator counters of the run, for the shared Prometheus
     /// export.
     pub stats: Stats,
 }
 
-/// Runs the hot-path scenario under one cost model.
-pub fn run_hotpath(params: &HotpathParams, mode: HotpathMode) -> HotpathResult {
+impl HotpathResult {
+    /// The run's protocol-visible counters.
+    pub fn trace(&self) -> Trace {
+        Trace {
+            events: self.events,
+            tx_frames: self.tx_frames,
+            delivered: self.delivered,
+        }
+    }
+}
+
+/// Runs the hot-path scenario.
+pub fn run_hotpath(params: &HotpathParams) -> HotpathResult {
     let mut world = World::new(WorldConfig {
         field: (params.field, params.field),
         range: params.range,
         seed: params.seed,
-        exec: ExecProfile::default().with_delivery(mode.delivery()),
         ..WorldConfig::default()
     });
     // Deterministic placement from the scenario seed, independent of the
     // world's RNG stream.
     let mut place = rand::rngs::SmallRng::seed_from_u64(params.seed ^ 0x5DEECE66D);
     use rand::SeedableRng;
-    let mut ids = Vec::new();
     for i in 0..params.nodes {
         let p = Point::new(
             place.gen_range(0.0..params.field),
@@ -312,61 +244,26 @@ pub fn run_hotpath(params: &HotpathParams, mode: HotpathMode) -> HotpathResult {
         } else {
             Box::new(Stationary::new(p))
         };
-        ids.push(world.add_node(mobility, Box::new(RelayStack::new(mode, params))));
+        world.add_node(mobility, Box::new(RelayStack::new(params)));
     }
     let start = Instant::now();
     world.run_until(params.sim_deadline());
     let wall_secs = start.elapsed().as_secs_f64();
-    let bytes_cloned = ids
-        .iter()
-        .filter_map(|&id| world.stack::<RelayStack>(id))
-        .map(|s| s.bytes_cloned)
-        .sum();
     let s = world.stats();
     HotpathResult {
-        mode,
         wall_secs,
         events: s.event_dispatches,
         events_per_sec: s.event_dispatches as f64 / wall_secs.max(1e-9),
         tx_frames: s.tx_frames,
         delivered: s.delivered,
         delivered_payload_bytes: s.delivered_payload_bytes,
-        bytes_cloned,
         stats: s.clone(),
     }
 }
 
-/// Renders the two runs plus their ratio as the `BENCH_hotpath.json`
-/// document.
-pub fn render_report(
-    params: &HotpathParams,
-    baseline: &HotpathResult,
-    opt: &HotpathResult,
-) -> String {
-    fn entry(r: &HotpathResult) -> String {
-        format!(
-            concat!(
-                "{{\n",
-                "    \"mode\": \"{}\",\n",
-                "    \"wall_secs\": {:.4},\n",
-                "    \"events\": {},\n",
-                "    \"events_per_sec\": {:.0},\n",
-                "    \"tx_frames\": {},\n",
-                "    \"delivered\": {},\n",
-                "    \"delivered_payload_bytes\": {},\n",
-                "    \"bytes_cloned\": {}\n",
-                "  }}"
-            ),
-            r.mode.label(),
-            r.wall_secs,
-            r.events,
-            r.events_per_sec,
-            r.tx_frames,
-            r.delivered,
-            r.delivered_payload_bytes,
-            r.bytes_cloned,
-        )
-    }
+/// Renders the run as the `BENCH_hotpath.json` document. `deterministic`
+/// records whether every repetition reproduced the run's trace.
+pub fn render_report(params: &HotpathParams, run: &HotpathResult, deterministic: bool) -> String {
     format!(
         concat!(
             "{{\n",
@@ -378,9 +275,16 @@ pub fn render_report(
             "  \"beacons_per_node\": {},\n",
             "  \"relay_prob\": {},\n",
             "  \"seed\": {},\n",
-            "  \"baseline\": {},\n",
-            "  \"optimized\": {},\n",
-            "  \"speedup_events_per_sec\": {:.2}\n",
+            "{}",
+            "  \"deterministic\": {},\n",
+            "  \"run\": {{\n",
+            "    \"wall_secs\": {:.4},\n",
+            "    \"events\": {},\n",
+            "    \"events_per_sec\": {:.0},\n",
+            "    \"tx_frames\": {},\n",
+            "    \"delivered\": {},\n",
+            "    \"delivered_payload_bytes\": {}\n",
+            "  }}\n",
             "}}\n"
         ),
         params.nodes,
@@ -390,9 +294,14 @@ pub fn render_report(
         params.beacons,
         params.relay_prob,
         params.seed,
-        entry(baseline),
-        entry(opt),
-        opt.events_per_sec / baseline.events_per_sec.max(1e-9),
+        host_json(),
+        deterministic,
+        run.wall_secs,
+        run.events,
+        run.events_per_sec,
+        run.tx_frames,
+        run.delivered,
+        run.delivered_payload_bytes,
     )
 }
 
@@ -400,22 +309,23 @@ pub fn render_report(
 mod tests {
     use super::*;
 
-    #[test]
-    fn both_modes_produce_identical_traces() {
-        let params = HotpathParams {
+    fn tiny() -> HotpathParams {
+        HotpathParams {
             nodes: 30,
             field: 180.0,
             beacons: 3,
             ..HotpathParams::dense()
-        };
-        let a = run_hotpath(&params, HotpathMode::Legacy);
-        let b = run_hotpath(&params, HotpathMode::ZeroCopy);
-        assert_eq!(a.tx_frames, b.tx_frames, "frame traces diverged");
-        assert_eq!(a.delivered, b.delivered);
-        assert_eq!(a.events, b.events);
-        assert_eq!(a.delivered_payload_bytes, b.delivered_payload_bytes);
-        assert!(a.bytes_cloned > 0, "legacy mode must pay for copies");
-        assert_eq!(b.bytes_cloned, 0, "zero-copy mode must not copy");
+        }
+    }
+
+    #[test]
+    fn runs_are_deterministic_and_only_presets_are_pinned() {
+        let a = run_hotpath(&tiny());
+        let b = run_hotpath(&tiny());
+        assert_eq!(a.trace(), b.trace(), "same seed, different trace");
+        assert!(a.tx_frames > 0 && a.delivered > a.tx_frames);
+        assert_eq!(tiny().pinned_trace(), None);
+        assert!(HotpathParams::smoke().pinned_trace().is_some());
     }
 
     #[test]
@@ -426,12 +336,10 @@ mod tests {
             beacons: 1,
             ..HotpathParams::dense()
         };
-        let a = run_hotpath(&params, HotpathMode::Legacy);
-        let b = run_hotpath(&params, HotpathMode::ZeroCopy);
-        let json = render_report(&params, &a, &b);
+        let json = render_report(&params, &run_hotpath(&params), true);
+        let doc = crate::json::parse(&json).expect("report parses");
+        assert_eq!(crate::check::validate(&doc), Ok(()));
         assert!(json.contains("\"scenario\": \"perf_hotpath\""));
-        assert!(json.contains("\"baseline\""));
-        assert!(json.contains("\"optimized\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        assert!(json.contains("\"host_cores\""));
     }
 }

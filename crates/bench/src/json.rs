@@ -298,26 +298,23 @@ mod tests {
         };
         let sched = crate::sched::render_report(
             &params,
-            &[
-                dummy_result(crate::sched::SchedMode::baseline()),
-                dummy_result(crate::sched::SchedMode::optimized()),
-            ],
+            &dummy_result(1),
+            true,
             &params,
-            &[
-                dummy_result(crate::sched::SchedMode::optimized()),
-                dummy_result(crate::sched::SchedMode::optimized().with_cores(2)),
-            ],
+            &[dummy_result(1), dummy_result(2)],
         );
         let v = parse(&sched).expect("sched report parses");
         assert_eq!(
             v.get("scenario").and_then(Value::as_str),
             Some("perf_sched")
         );
-        assert!(v
-            .get("speedup_events_per_sec")
-            .and_then(Value::as_f64)
-            .is_some());
-        assert_eq!(v.get("modes").and_then(Value::as_array).unwrap().len(), 2);
+        assert_eq!(
+            v.get("run")
+                .and_then(|r| r.get("cores"))
+                .and_then(Value::as_f64),
+            Some(1.0)
+        );
+        assert_eq!(v.get("deterministic"), Some(&Value::Bool(true)));
         assert_eq!(
             v.get("cores_axis").and_then(Value::as_array).unwrap().len(),
             2
@@ -328,9 +325,8 @@ mod tests {
             .is_some());
     }
 
-    fn dummy_result(mode: crate::sched::SchedMode) -> crate::sched::SchedResult {
+    fn dummy_result(cores: u64) -> crate::sched::SchedResult {
         crate::sched::SchedResult {
-            mode,
             wall_secs: 1.0,
             events: 10,
             sim_events: 12,
@@ -348,7 +344,7 @@ mod tests {
             cs_arena_live: 0,
             arrival_events: 1,
             timer_slots_allocated: 0,
-            cores: mode.exec.cores as u64,
+            cores,
             border_tx_exported: 0,
             border_rx_injected: 0,
             sync_windows: 0,

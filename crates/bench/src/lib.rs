@@ -23,6 +23,7 @@ pub mod faults;
 pub mod figures;
 pub mod hotpath;
 pub mod json;
+pub mod perf;
 pub mod profile;
 pub mod prom;
 pub mod report;

@@ -1,36 +1,15 @@
 //! The scheduler benchmark: measures the simulator's control plane on a
-//! timer-heavy advert/beacon swarm and records the perf trajectory in
-//! `BENCH_sched.json`.
+//! timer-heavy advert/beacon swarm and records it in `BENCH_sched.json`.
 //!
-//! Where `perf_hotpath` stressed the per-frame *data* path (buffers,
-//! delivery scans, wire encoding), `perf_sched` stresses what is left once
-//! that path is zero-copy:
-//!
-//! 1. **the event queue** — the hierarchical timer wheel
-//!    ([`QueueMode::Wheel`], O(1) push/pop) vs. the original `BinaryHeap`
-//!    (O(log n) on a queue holding several timers per node),
-//! 2. **command buffers** — the pooled `Vec<Command>` free list vs. a fresh
-//!    allocation per stack callback (the pool rides the queue toggle:
-//!    `Heap` reproduces the full pre-refactor control-plane cost model),
-//! 3. **overheard-frame decoding** — name-first [`Packet::peek_header`]
-//!    resolution of CS hits (exact *and* CanBePrefix, via the ordered wire
-//!    index), duplicate nonces, FIB no-route drops and unsolicited data
-//!    vs. a full TLV decode of every frame; the same axis selects the
-//!    PIT/CS table generation (wire-indexed slab arenas vs. the legacy
-//!    `Name`-keyed maps the eager control plane ran on),
-//! 4. **delivery events** — one batched arrival event per transmission
-//!    executing the whole receiver fan-out in a single stack-entry round
-//!    trip ([`DeliveryEvents::Batched`]) vs. the classic one-event-per-
-//!    receiver model ([`DeliveryEvents::PerReceiver`]),
-//! 5. **decode-free relays** — re-broadcasting relayable Interests straight
-//!    from the received bytes with a copy-on-write hop-limit byte patch
-//!    (never constructing an `Interest`) vs. the decode → decrement →
-//!    re-encode relay the eager pipeline performs.
-//!
-//! All twelve mode combinations run the *same protocol trace* (same seeds,
-//! same RNG draw order, bit-identical frame counts — asserted by a test
-//! below and by the `sched` binary); only the per-event bookkeeping
-//! differs.
+//! Where `perf_hotpath` stresses the per-frame *data* path, `perf_sched`
+//! stresses what is left once that path is zero-copy: the timer-wheel
+//! event queue and pooled command buffers, name-first
+//! [`Packet::peek_header`] resolution of overheard frames (CS hits — exact
+//! *and* CanBePrefix, via the ordered wire index — duplicate nonces, FIB
+//! no-route drops, unsolicited data), one batched arrival event per
+//! transmission, and decode-free relays that re-broadcast relayable
+//! Interests with a copy-on-write hop-limit byte patch. A cores axis reruns
+//! the swarm on the sharded multi-core engine.
 //!
 //! The scenario: a dense swarm where every node periodically floods a
 //! 3-hop advert Interest for its own namespace, answers Interests for that
@@ -44,6 +23,7 @@
 //! wire index) and a *noise* Interest in a namespace no FIB covers (the
 //! not-for-me frame every receiver drops via the FIB wire index).
 
+use crate::perf::{host_json, Trace};
 use dapes_ndn::face::FaceId;
 use dapes_ndn::forwarder::{Action, Forwarder, ForwarderConfig, PeekOutcome};
 use dapes_ndn::name::Name;
@@ -63,80 +43,18 @@ const KIND_NOISE: FrameKind = FrameKind(52);
 /// Frame kind for CanBePrefix probe Interests.
 const KIND_PROBE: FrameKind = FrameKind(53);
 
+/// Pinned `(events, tx_frames, delivered)` of [`SchedParams::dense`].
+const DENSE_PIN: (u64, u64, u64) = (4_068_945, 642_574, 7_610_668);
+/// Pinned `(events, tx_frames, delivered)` of [`SchedParams::smoke`].
+const SMOKE_PIN: (u64, u64, u64) = (617_547, 100_117, 1_230_485);
+
 const TOKEN_ADVERT: u64 = 1;
 const TOKEN_RETRY: u64 = 2;
 const TOKEN_TICK: u64 = 3;
 const TOKEN_DECOY: u64 = 4;
 
-/// One scheduler cost model: a thin wrapper over [`ExecProfile`], the
-/// simulator's unified execution-strategy value. The bench keeps the
-/// wrapper for its sweep/report vocabulary (`baseline`, `optimized`,
-/// `sweep`), but every knob — queue, decode regime, delivery granularity,
-/// relay patch, table generation, shard count — lives on the profile, and
-/// report labels come from [`ExecProfile::label`]. Protocol traces are
-/// bit-identical across all twelve single-core combinations.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SchedMode {
-    /// The execution profile this mode prices.
-    pub exec: ExecProfile,
-}
-
-impl SchedMode {
-    /// The pre-refactor control plane: binary heap, per-callback
-    /// allocations, full decode of every frame into `Name`-keyed PIT/CS
-    /// tables, one scheduled receive event per receiver.
-    pub fn baseline() -> Self {
-        SchedMode {
-            exec: ExecProfile::baseline(),
-        }
-    }
-
-    /// The optimized control plane: timer wheel, pooled buffers, lazy peek
-    /// with decode-free relays, one batched arrival event per transmission
-    /// (one core — the twelve-mode sweep prices single-core strategies;
-    /// shard counts are the separate cores axis).
-    pub fn optimized() -> Self {
-        SchedMode {
-            exec: ExecProfile::default(),
-        }
-    }
-
-    /// This mode on `cores` spatial shards ([`ShardedWorld`] when `> 1`).
-    pub fn with_cores(mut self, cores: usize) -> Self {
-        self.exec = self.exec.with_cores(cores);
-        self
-    }
-
-    /// All twelve combinations (the relay-patch axis only exists on top of
-    /// lazy decoding; the decode axis selects the PIT/CS table generation),
-    /// baseline first and optimized last.
-    pub fn sweep() -> Vec<SchedMode> {
-        let mut modes = Vec::new();
-        for delivery_events in [DeliveryEvents::PerReceiver, DeliveryEvents::Batched] {
-            for queue in [QueueMode::Heap, QueueMode::Wheel] {
-                for (lazy, patch) in [(false, false), (true, false), (true, true)] {
-                    modes.push(SchedMode {
-                        exec: ExecProfile::default()
-                            .with_queue(queue)
-                            .with_delivery_events(delivery_events)
-                            .with_lazy_peek(lazy)
-                            .with_relay_patch(patch)
-                            .with_legacy_tables(!lazy),
-                    });
-                }
-            }
-        }
-        modes
-    }
-
-    /// Label used in the JSON report — [`ExecProfile::label`] verbatim.
-    pub fn label(&self) -> String {
-        self.exec.label()
-    }
-}
-
 /// Parameters of the scheduler scenario.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SchedParams {
     /// Swarm size (the acceptance scenario uses ≥ 2,000).
     pub nodes: usize,
@@ -174,10 +92,9 @@ impl SchedParams {
     /// a 64-byte availability bitmap, relayed across the two-hop
     /// neighbourhood — plus the noise/probe traffic, and ticking a 16 ms
     /// housekeeping timer whose decoy arm/cancel churn leaves over a
-    /// million tombstoned entries in the queue: the workload where the
-    /// heap's O(log n) pops, the per-callback allocations, the
-    /// per-receiver event fan-out, and the eager decode of millions of
-    /// overheard (mostly duplicate) frames dominate.
+    /// million tombstoned entries in the queue: the workload where queue
+    /// operations, per-callback buffers, delivery fan-out and the handling
+    /// of millions of overheard (mostly duplicate) frames dominate.
     pub fn dense() -> Self {
         SchedParams {
             nodes: 2_400,
@@ -205,6 +122,24 @@ impl SchedParams {
         }
     }
 
+    /// The pinned single-core trace of the named presets
+    /// ([`dense`](Self::dense), [`smoke`](Self::smoke)); `None` for any
+    /// other parameters.
+    pub fn pinned_trace(&self) -> Option<Trace> {
+        let (events, tx_frames, delivered) = if *self == SchedParams::dense() {
+            DENSE_PIN
+        } else if *self == SchedParams::smoke() {
+            SMOKE_PIN
+        } else {
+            return None;
+        };
+        Some(Trace {
+            events,
+            tx_frames,
+            delivered,
+        })
+    }
+
     fn sim_deadline(&self) -> SimTime {
         SimTime::from_micros(
             (self.rounds as u64 * self.advert_period_ms + self.retry_ms + 1_000) * 1_000,
@@ -213,12 +148,9 @@ impl SchedParams {
 }
 
 /// The advert/beacon stack: a real NDN forwarder per node, flooding
-/// multi-hop advert Interests and serving replies. Decode regime aside,
-/// behaviour depends only on header-derivable facts, so lazy and eager
-/// runs make identical RNG draws.
+/// multi-hop advert Interests and serving replies.
 struct SchedStack {
     id: u32,
-    lazy_decode: bool,
     forwarder: Forwarder,
     rounds_left: u32,
     round: u64,
@@ -234,7 +166,7 @@ struct SchedStack {
     outstanding: Option<(Name, TimerHandle)>,
     /// Last round's decoy timer, cancelled by the next tick.
     decoy: Option<TimerHandle>,
-    /// Frames fully resolved from the peeked header (lazy mode only).
+    /// Frames fully resolved from the peeked header.
     peeks_resolved: u64,
     /// Peek-resolved Interests dropped through the FIB wire index.
     peek_fib_drops: u64,
@@ -242,29 +174,21 @@ struct SchedStack {
     /// ordered wire index.
     peek_prefix_hits: u64,
     /// Frames re-broadcast decode-free with a copy-on-write hop-limit
-    /// patch (relay-patch modes only).
+    /// patch.
     frames_relay_patched: u64,
     /// Frames that went through the full TLV decode.
     full_decodes: u64,
 }
 
 impl SchedStack {
-    fn new(id: u32, mode: SchedMode, params: &SchedParams) -> Self {
+    fn new(id: u32, params: &SchedParams) -> Self {
         let mut forwarder = Forwarder::new(ForwarderConfig {
             cs_capacity: 64,
-            // Count-capped FIFO on both table generations: the pre-budget
-            // store, so the cross-mode trace stays byte-identical.
             cs_budget_bytes: None,
             cs_policy: Default::default(),
             cache_unsolicited: false,
             rebroadcast_faces: vec![FaceId::WIRELESS],
             deliver_on_aggregate: Vec::new(),
-            relay_patch: mode.exec.relay_patch,
-            // The eager modes price the pre-refactor control plane, whose
-            // PIT/CS ran on `Name`-keyed tables; the lazy modes run the
-            // wire-indexed slab arenas the peek ladder was built around.
-            // Behaviour (and thus the cross-mode trace) is identical.
-            legacy_tables: mode.exec.legacy_tables,
         });
         // The advert namespace is relayable; our own corner of it also
         // reaches the application so we can answer probes for it. Nothing
@@ -278,7 +202,6 @@ impl SchedStack {
         forwarder.fib_mut().register(own, FaceId::WIRELESS);
         SchedStack {
             id,
-            lazy_decode: mode.exec.lazy_peek,
             forwarder,
             rounds_left: params.rounds,
             round: 0,
@@ -303,7 +226,7 @@ impl SchedStack {
     /// the one namespace every node probes). The hub answers the first
     /// probes through its application; the replies are cached along the PIT
     /// trails, after which neighbours answer later probes straight from
-    /// their Content Store's ordered wire index (no decode in lazy mode).
+    /// their Content Store's ordered wire index (no decode).
     fn send_probe(&mut self, ctx: &mut NodeCtx<'_>) {
         let interest = Interest::new(Name::from_uri("/sched/adv/n0"))
             .with_can_be_prefix(true)
@@ -315,8 +238,7 @@ impl SchedStack {
     }
 
     /// Broadcasts a fire-and-forget Interest in a namespace no FIB covers:
-    /// every receiver classifies it as not-for-me — via the FIB wire index
-    /// in lazy mode, via a full decode in the eager baseline.
+    /// every receiver classifies it as not-for-me via the FIB wire index.
     fn send_noise(&mut self, ctx: &mut NodeCtx<'_>) {
         let interest = Interest::new(Name::from_uri(&format!(
             "/sched/noise/n{}/{}",
@@ -361,8 +283,8 @@ impl SchedStack {
         }
     }
 
-    /// Applies forwarder actions for an overheard frame. Shared by the
-    /// eager and lazy paths, so both make the same draws in the same order.
+    /// Applies forwarder actions for an overheard frame, whether they came
+    /// from the peeked header or the full decode.
     fn apply_actions(&mut self, ctx: &mut NodeCtx<'_>, actions: Vec<Action>) {
         for action in actions {
             match action {
@@ -412,7 +334,7 @@ impl SchedStack {
                 } => {
                     // Decode-free relay: the hop-limit byte was already
                     // patched copy-on-write; the bytes match what the arm
-                    // above re-encodes, so the trace is identical.
+                    // above re-encodes.
                     self.frames_relay_patched += 1;
                     let delay = self.jitter(ctx);
                     ctx.send_frame(frame, KIND_ADVERT, 0, delay);
@@ -518,33 +440,31 @@ impl NetStack for SchedStack {
     }
 
     fn on_frame(&mut self, ctx: &mut NodeCtx<'_>, frame: &Frame) {
-        if self.lazy_decode {
-            let Ok(header) = Packet::peek_header(&frame.payload) else {
-                return;
-            };
-            match header {
-                PacketHeader::Interest(h) => {
-                    if let Some((actions, outcome)) = self.forwarder.process_interest_header(
-                        ctx.now,
-                        &h,
-                        &frame.payload,
-                        FaceId::WIRELESS,
-                    ) {
-                        self.peeks_resolved += 1;
-                        match outcome {
-                            PeekOutcome::FibNoRoute => self.peek_fib_drops += 1,
-                            PeekOutcome::CsPrefixHit => self.peek_prefix_hits += 1,
-                            _ => {}
-                        }
-                        self.apply_actions(ctx, actions);
-                        return;
+        let Ok(header) = Packet::peek_header(&frame.payload) else {
+            return;
+        };
+        match header {
+            PacketHeader::Interest(h) => {
+                if let Some((actions, outcome)) = self.forwarder.process_interest_header(
+                    ctx.now,
+                    &h,
+                    &frame.payload,
+                    FaceId::WIRELESS,
+                ) {
+                    self.peeks_resolved += 1;
+                    match outcome {
+                        PeekOutcome::FibNoRoute => self.peek_fib_drops += 1,
+                        PeekOutcome::CsPrefixHit => self.peek_prefix_hits += 1,
+                        _ => {}
                     }
+                    self.apply_actions(ctx, actions);
+                    return;
                 }
-                PacketHeader::Data(h) => {
-                    if self.forwarder.process_data_header(h.name_wire) {
-                        self.peeks_resolved += 1;
-                        return;
-                    }
+            }
+            PacketHeader::Data(h) => {
+                if self.forwarder.process_data_header(h.name_wire) {
+                    self.peeks_resolved += 1;
+                    return;
                 }
             }
         }
@@ -572,19 +492,13 @@ impl NetStack for SchedStack {
 /// Measured outcome of one scheduler run.
 #[derive(Clone, Debug)]
 pub struct SchedResult {
-    /// Which cost model ran.
-    pub mode: SchedMode,
     /// Wall-clock seconds for the whole run.
     pub wall_secs: f64,
     /// Events popped from the queue.
     pub events: u64,
     /// Simulation events processed: queue pops plus the per-receiver
-    /// deliveries a batched arrival event executes inside one pop. A
-    /// delivery is one simulation event whether it rides its own queue
-    /// entry (per-receiver mode) or a batch, so for a fixed protocol trace
-    /// this count is identical across every mode — which is what makes
-    /// `events_per_sec` comparable across delivery granularities instead
-    /// of crediting the per-receiver baseline for its own event inflation.
+    /// deliveries a batched arrival event executes inside one pop (a
+    /// delivery is one simulation event even though it rides a batch).
     pub sim_events: u64,
     /// Simulation events per wall-clock second — the headline throughput
     /// figure (computed over `sim_events`).
@@ -605,7 +519,7 @@ pub struct SchedResult {
     /// wire index.
     pub peek_prefix_hits: u64,
     /// Frames re-broadcast decode-free with a copy-on-write hop-limit
-    /// patch, summed over nodes (relay-patch modes only).
+    /// patch, summed over nodes.
     pub frames_relay_patched: u64,
     /// Frames that paid for a full TLV decode, summed over nodes.
     pub full_decodes: u64,
@@ -613,8 +527,7 @@ pub struct SchedResult {
     pub pit_arena_live: usize,
     /// Live Content Store arena entries at the deadline, summed over nodes.
     pub cs_arena_live: usize,
-    /// Arrival events enqueued (one per transmission when batched, one per
-    /// successful receiver in the per-receiver baseline).
+    /// Arrival events enqueued (one per transmission).
     pub arrival_events: u64,
     /// Timer slots ever allocated (peak concurrent timers, not volume).
     pub timer_slots_allocated: usize,
@@ -631,15 +544,26 @@ pub struct SchedResult {
     pub stats: Stats,
 }
 
-/// Runs the scheduler scenario under one cost model. Modes with
-/// `exec.cores > 1` run on the sharded engine; one core runs the (bit-
-/// identical) sequential world through the same wrapper.
-pub fn run_sched(params: &SchedParams, mode: SchedMode) -> SchedResult {
+impl SchedResult {
+    /// The run's protocol-visible counters.
+    pub fn trace(&self) -> Trace {
+        Trace {
+            events: self.events,
+            tx_frames: self.tx_frames,
+            delivered: self.delivered,
+        }
+    }
+}
+
+/// Runs the scheduler scenario on `cores` shards: `cores > 1` runs the
+/// sharded engine; one core runs the (bit-identical) sequential world
+/// through the same wrapper.
+pub fn run_sched(params: &SchedParams, cores: usize) -> SchedResult {
     let mut world = ShardedWorld::new(WorldConfig {
         field: (params.field, params.field),
         range: params.range,
         seed: params.seed,
-        exec: mode.exec,
+        exec: ExecProfile::default().with_cores(cores),
         ..WorldConfig::default()
     });
     let mut place = SmallRng::seed_from_u64(params.seed ^ 0x5DEECE66D);
@@ -651,7 +575,7 @@ pub fn run_sched(params: &SchedParams, mode: SchedMode) -> SchedResult {
         );
         ids.push(world.add_node(
             Box::new(Stationary::new(p)),
-            Box::new(SchedStack::new(i as u32, mode, params)),
+            Box::new(SchedStack::new(i as u32, params)),
         ));
     }
     let start = Instant::now();
@@ -673,19 +597,13 @@ pub fn run_sched(params: &SchedParams, mode: SchedMode) -> SchedResult {
     }
     let s = world.stats();
     // Deliveries executed inside batched arrival events are simulation
-    // events that never hit the queue; fold them back in so the throughput
-    // numerator is mode-invariant (in per-receiver mode each of them *is* a
-    // queue pop, already counted).
-    let folded = match mode.exec.delivery_events {
-        DeliveryEvents::Batched => s.delivered,
-        DeliveryEvents::PerReceiver => 0,
-    };
+    // events that never hit the queue; fold them back in.
+    let sim_events = s.event_dispatches + s.delivered;
     SchedResult {
-        mode,
         wall_secs,
         events: s.event_dispatches,
-        sim_events: s.event_dispatches + folded,
-        events_per_sec: (s.event_dispatches + folded) as f64 / wall_secs.max(1e-9),
+        sim_events,
+        events_per_sec: sim_events as f64 / wall_secs.max(1e-9),
         tx_frames: s.tx_frames,
         delivered: s.delivered,
         cmd_pool_hits: s.cmd_pool_hits,
@@ -707,106 +625,17 @@ pub fn run_sched(params: &SchedParams, mode: SchedMode) -> SchedResult {
     }
 }
 
-/// The protocol-trace fingerprint every mode combination must agree on.
-/// Raw queue-pop counts are deliberately excluded — the delivery-event
-/// granularity changes how many queue entries carry the same protocol work
-/// (that is the point), so they only match *within* a [`DeliveryEvents`]
-/// class — but the normalized `sim_events` count is mode-invariant and is
-/// part of the fingerprint.
-pub fn trace_of(r: &SchedResult) -> (u64, u64, u64, u64) {
-    (
-        r.sim_events,
-        r.tx_frames,
-        r.delivered,
-        r.frames_peek_resolved + r.full_decodes,
-    )
+/// The best (lowest wall-clock) of a set of repetitions.
+pub fn best_of(runs: Vec<SchedResult>) -> SchedResult {
+    runs.into_iter()
+        .reduce(|a, b| if a.wall_secs <= b.wall_secs { a } else { b })
+        .expect("at least one repetition")
 }
 
-/// Renders the twelve-mode sweep, the sharded cores axis, and the headline
-/// ratios as the `BENCH_sched.json` document.
-///
-/// `cores_axis` holds runs of the optimized profile at increasing shard
-/// counts (first entry `cores = 1`, the sequential engine), measured on the
-/// scenario described by `cores_params` — the main sweep's params by
-/// default, a density-preserving scaled swarm when the cores axis was run
-/// at a different size.
-pub fn render_report(
-    params: &SchedParams,
-    results: &[SchedResult],
-    cores_params: &SchedParams,
-    cores_axis: &[SchedResult],
-) -> String {
-    fn entry(r: &SchedResult) -> String {
-        format!(
-            concat!(
-                "{{\n",
-                "    \"mode\": \"{}\",\n",
-                "    \"cores\": {},\n",
-                "    \"wall_secs\": {:.4},\n",
-                "    \"events_popped\": {},\n",
-                "    \"sim_events\": {},\n",
-                "    \"events_per_sec\": {:.0},\n",
-                "    \"tx_frames\": {},\n",
-                "    \"delivered\": {},\n",
-                "    \"arrival_events\": {},\n",
-                "    \"cmd_pool_hits\": {},\n",
-                "    \"cmd_pool_misses\": {},\n",
-                "    \"frames_peek_resolved\": {},\n",
-                "    \"peek_fib_drops\": {},\n",
-                "    \"peek_prefix_hits\": {},\n",
-                "    \"frames_relay_patched\": {},\n",
-                "    \"full_decodes\": {},\n",
-                "    \"pit_arena_live\": {},\n",
-                "    \"cs_arena_live\": {},\n",
-                "    \"timer_slots_allocated\": {},\n",
-                "    \"border_tx_exported\": {},\n",
-                "    \"border_rx_injected\": {},\n",
-                "    \"sync_windows\": {}\n",
-                "  }}"
-            ),
-            r.mode.label(),
-            r.cores,
-            r.wall_secs,
-            r.events,
-            r.sim_events,
-            r.events_per_sec,
-            r.tx_frames,
-            r.delivered,
-            r.arrival_events,
-            r.cmd_pool_hits,
-            r.cmd_pool_misses,
-            r.frames_peek_resolved,
-            r.peek_fib_drops,
-            r.peek_prefix_hits,
-            r.frames_relay_patched,
-            r.full_decodes,
-            r.pit_arena_live,
-            r.cs_arena_live,
-            r.timer_slots_allocated,
-            r.border_tx_exported,
-            r.border_rx_injected,
-            r.sync_windows,
-        )
-    }
-    // Fall back to the first run when the baseline was filtered out of the
-    // sweep (the `sched` bin's `--only` debugging flag).
-    let baseline = results
-        .iter()
-        .find(|r| r.mode == SchedMode::baseline())
-        .or(results.first())
-        .expect("at least one run");
-    // Fall back to the last run when the fully-patched mode was filtered
-    // out of the sweep (the CI `--relay-patch off` axis).
-    let optimized = results
-        .iter()
-        .find(|r| r.mode == SchedMode::optimized())
-        .or(results.last())
-        .expect("at least one run");
-    let modes: Vec<String> = results.iter().map(entry).collect();
-    let cores_entries: Vec<String> = cores_axis.iter().map(entry).collect();
-    // Shard speedup: best multi-shard throughput over the axis' sequential
-    // run (1.0 when the axis holds fewer than two entries).
-    let shard_speedup = match cores_axis.split_first() {
+/// Best multi-shard throughput over the cores axis' sequential run (1.0
+/// when the axis holds fewer than two entries).
+pub fn shard_speedup(cores_axis: &[SchedResult]) -> f64 {
+    match cores_axis.split_first() {
         Some((seq, rest)) if !rest.is_empty() => {
             rest.iter()
                 .map(|r| r.events_per_sec)
@@ -814,7 +643,77 @@ pub fn render_report(
                 / seq.events_per_sec.max(1e-9)
         }
         _ => 1.0,
-    };
+    }
+}
+
+fn entry_json(r: &SchedResult) -> String {
+    format!(
+        concat!(
+            "{{\n",
+            "    \"cores\": {},\n",
+            "    \"wall_secs\": {:.4},\n",
+            "    \"events_popped\": {},\n",
+            "    \"sim_events\": {},\n",
+            "    \"events_per_sec\": {:.0},\n",
+            "    \"tx_frames\": {},\n",
+            "    \"delivered\": {},\n",
+            "    \"arrival_events\": {},\n",
+            "    \"cmd_pool_hits\": {},\n",
+            "    \"cmd_pool_misses\": {},\n",
+            "    \"frames_peek_resolved\": {},\n",
+            "    \"peek_fib_drops\": {},\n",
+            "    \"peek_prefix_hits\": {},\n",
+            "    \"frames_relay_patched\": {},\n",
+            "    \"full_decodes\": {},\n",
+            "    \"pit_arena_live\": {},\n",
+            "    \"cs_arena_live\": {},\n",
+            "    \"timer_slots_allocated\": {},\n",
+            "    \"border_tx_exported\": {},\n",
+            "    \"border_rx_injected\": {},\n",
+            "    \"sync_windows\": {}\n",
+            "  }}"
+        ),
+        r.cores,
+        r.wall_secs,
+        r.events,
+        r.sim_events,
+        r.events_per_sec,
+        r.tx_frames,
+        r.delivered,
+        r.arrival_events,
+        r.cmd_pool_hits,
+        r.cmd_pool_misses,
+        r.frames_peek_resolved,
+        r.peek_fib_drops,
+        r.peek_prefix_hits,
+        r.frames_relay_patched,
+        r.full_decodes,
+        r.pit_arena_live,
+        r.cs_arena_live,
+        r.timer_slots_allocated,
+        r.border_tx_exported,
+        r.border_rx_injected,
+        r.sync_windows,
+    )
+}
+
+/// Renders the single-core run and the sharded cores axis as the
+/// `BENCH_sched.json` document. `deterministic` records whether every
+/// repetition of `run` reproduced its trace.
+///
+/// `cores_axis` holds runs at increasing shard counts (first entry
+/// `cores = 1`, the sequential engine), measured on the scenario described
+/// by `cores_params` — the main run's params by default, a
+/// density-preserving scaled swarm when the cores axis was run at a
+/// different size.
+pub fn render_report(
+    params: &SchedParams,
+    run: &SchedResult,
+    deterministic: bool,
+    cores_params: &SchedParams,
+    cores_axis: &[SchedResult],
+) -> String {
+    let cores_entries: Vec<String> = cores_axis.iter().map(entry_json).collect();
     format!(
         concat!(
             "{{\n",
@@ -827,8 +726,9 @@ pub fn render_report(
             "  \"tick_ms\": {},\n",
             "  \"reply_bytes\": {},\n",
             "  \"seed\": {},\n",
-            "  \"modes\": [{}],\n",
-            "  \"speedup_events_per_sec\": {:.2},\n",
+            "{}",
+            "  \"deterministic\": {},\n",
+            "  \"run\": {},\n",
             "  \"cores_axis_nodes\": {},\n",
             "  \"cores_axis_field_m\": {},\n",
             "  \"cores_axis\": [{}],\n",
@@ -843,12 +743,13 @@ pub fn render_report(
         params.tick_ms,
         params.reply_bytes,
         params.seed,
-        modes.join(", "),
-        optimized.events_per_sec / baseline.events_per_sec.max(1e-9),
+        host_json(),
+        deterministic,
+        entry_json(run),
         cores_params.nodes,
         cores_params.field,
         cores_entries.join(", "),
-        shard_speedup,
+        shard_speedup(cores_axis),
     )
 }
 
@@ -866,89 +767,62 @@ mod tests {
     }
 
     #[test]
-    fn all_twelve_mode_combinations_produce_identical_traces() {
+    fn single_engine_exercises_every_fast_path_deterministically() {
         let params = tiny();
-        let runs: Vec<SchedResult> = SchedMode::sweep()
-            .into_iter()
-            .map(|m| run_sched(&params, m))
-            .collect();
-        for r in &runs[1..] {
-            assert_eq!(
-                trace_of(r),
-                trace_of(&runs[0]),
-                "{} diverged from {}",
-                r.mode.label(),
-                runs[0].mode.label()
-            );
-            // Event counts only match within a delivery-event class.
-            if r.mode.exec.delivery_events == runs[0].mode.exec.delivery_events {
-                assert_eq!(r.events, runs[0].events, "{}", r.mode.label());
-            }
-        }
-        let base = runs.first().expect("baseline");
-        assert_eq!(base.mode, SchedMode::baseline());
-        let opt = runs.last().expect("optimized");
-        assert_eq!(opt.mode, SchedMode::optimized());
-        assert!(
-            opt.frames_peek_resolved > opt.full_decodes,
-            "the advert swarm must mostly resolve by peek: {} peeked vs {} decoded",
-            opt.frames_peek_resolved,
-            opt.full_decodes
+        let r = run_sched(&params, 1);
+        assert_eq!(
+            r.trace(),
+            run_sched(&params, 1).trace(),
+            "same seed, different trace"
         );
         assert!(
-            opt.peek_fib_drops > 0,
+            r.frames_peek_resolved > r.full_decodes,
+            "the advert swarm must mostly resolve by peek: {} peeked vs {} decoded",
+            r.frames_peek_resolved,
+            r.full_decodes
+        );
+        assert!(
+            r.peek_fib_drops > 0,
             "noise beacons must resolve through the FIB wire index"
         );
         assert!(
-            opt.peek_prefix_hits > 0,
+            r.peek_prefix_hits > 0,
             "CanBePrefix probes must resolve through the ordered CS index"
         );
-        assert_eq!(base.frames_peek_resolved, 0, "eager never peeks");
-        assert_eq!(base.frames_relay_patched, 0, "eager never byte-patches");
         assert!(
-            opt.frames_relay_patched > 0,
-            "the advert swarm must relay decode-free in patch mode"
+            r.frames_relay_patched > 0,
+            "the advert swarm must relay decode-free"
         );
-        assert!(opt.cmd_pool_hits > 0 && opt.cmd_pool_misses == 1);
-        // The tentpole invariant, at bench scale: batched mode enqueues one
-        // arrival event per transmission; the baseline one per delivery.
-        assert_eq!(opt.arrival_events, opt.tx_frames);
-        assert_eq!(base.arrival_events, base.delivered);
-        assert!(
-            base.events > opt.events,
-            "per-receiver fan-out must inflate the event count"
+        assert!(r.cmd_pool_hits > 0 && r.cmd_pool_misses == 1);
+        assert_eq!(
+            r.arrival_events, r.tx_frames,
+            "one arrival event per transmission"
         );
+        assert_eq!(r.sim_events, r.events + r.delivered);
+        assert_eq!(tiny().pinned_trace(), None);
     }
 
     #[test]
     fn report_is_well_formed_json_shape() {
         let params = tiny();
-        let runs = vec![
-            run_sched(&params, SchedMode::baseline()),
-            run_sched(&params, SchedMode::optimized()),
-        ];
-        let cores_axis = vec![
-            run_sched(&params, SchedMode::optimized()),
-            run_sched(&params, SchedMode::optimized().with_cores(2)),
-        ];
-        let json = render_report(&params, &runs, &params, &cores_axis);
+        let run = run_sched(&params, 1);
+        let cores_axis = vec![run_sched(&params, 1), run_sched(&params, 2)];
+        let json = render_report(&params, &run, true, &params, &cores_axis);
+        let doc = crate::json::parse(&json).expect("report parses");
+        assert_eq!(crate::check::validate(&doc), Ok(()));
         assert!(json.contains("\"scenario\": \"perf_sched\""));
-        assert!(json.contains("\"heap_eager_perrecv\""));
-        assert!(json.contains("\"wheel_lazy_batched_patch\""));
-        assert!(json.contains("\"wheel_lazy_batched_patch_c2\""));
-        assert!(json.contains("\"speedup_events_per_sec\""));
+        assert!(json.contains("\"host_cores\""));
         assert!(json.contains("\"peek_fib_drops\""));
         assert!(json.contains("\"cores_axis\""));
         assert!(json.contains("\"shard_speedup_events_per_sec\""));
         assert!(json.contains("\"border_tx_exported\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
     #[test]
     fn sharded_run_exchanges_border_traffic_and_stays_metric_close() {
         let params = tiny();
-        let seq = run_sched(&params, SchedMode::optimized());
-        let sharded = run_sched(&params, SchedMode::optimized().with_cores(2));
+        let seq = run_sched(&params, 1);
+        let sharded = run_sched(&params, 2);
         assert_eq!(seq.cores, 1);
         assert_eq!(sharded.cores, 2);
         assert!(sharded.border_tx_exported > 0, "bands must exchange frames");

@@ -251,8 +251,6 @@ impl DapesPeer {
             cache_unsolicited: role == NodeRole::PureForwarder,
             rebroadcast_faces: vec![FaceId::WIRELESS],
             deliver_on_aggregate: vec![FaceId::APP],
-            relay_patch: cfg.exec.relay_patch,
-            legacy_tables: false,
         };
         let mut forwarder =
             Forwarder::with_strategy(fwd_cfg, Box::new(DapesStrategy::new(shared.clone())));
@@ -1588,7 +1586,7 @@ impl NetStack for DapesPeer {
         if self.cfg.signed_adverts && self.screen_frame(ctx, frame) {
             return;
         }
-        if self.cfg.exec.lazy_peek && self.on_frame_peeked(ctx, frame) {
+        if self.on_frame_peeked(ctx, frame) {
             return;
         }
         let Ok(packet) = Packet::decode_payload(&frame.payload) else {
@@ -1896,11 +1894,13 @@ impl DapesPeer {
     /// name-first header peek, without a full TLV decode. Returns whether
     /// the frame was fully handled.
     ///
-    /// Every branch that returns `true` reproduces the eager pipeline's
-    /// side effects *exactly* — same forwarder statistics, same RNG draws in
-    /// the same order, same pending-transmission bookkeeping — so enabling
-    /// [`DapesConfig::lazy_peek`] cannot change a trace (asserted across the
-    /// scenario matrix by `tests/sched.rs`). Frames that need their payload
+    /// Every branch that returns `true` reproduces the full-decode
+    /// pipeline's side effects *exactly* — same forwarder statistics, same
+    /// RNG draws in the same order, same pending-transmission bookkeeping —
+    /// so the fast path is invisible to protocol traces. That equivalence
+    /// relies on frames being either well-formed or rejected by their
+    /// routable prefix, which holds in the simulator (loss drops whole
+    /// frames; bytes are never corrupted). Frames that need their payload
     /// (aggregating Interests, novel Interests the decode-free relay path
     /// cannot take, PIT-matching or cacheable or DAPES-signalling Data)
     /// fall through untouched, with no state or statistics recorded, and
@@ -2045,9 +2045,9 @@ impl DapesPeer {
     /// Pre-decode screening: drops frames whose header peek fails (the
     /// noise-flood sink) and Interests whose nonce was first overheard
     /// longer than the replay window ago (re-injected Interests). Runs
-    /// before the lazy/eager split so a replayed Interest can never be
+    /// before the header fast path so a replayed Interest can never be
     /// answered from the Content Store or refresh its old PIT entry.
-    /// Makes no RNG draws, so the lazy/eager toggle equivalence holds.
+    /// Makes no RNG draws.
     fn screen_frame(&mut self, ctx: &mut NodeCtx<'_>, frame: &Frame) -> bool {
         let Ok(header) = Packet::peek_header(&frame.payload) else {
             self.stats.flood_frames_dropped += 1;

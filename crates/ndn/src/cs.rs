@@ -401,45 +401,6 @@ pub struct CsStats {
     pub rejected_oversize: u64,
 }
 
-/// The two table generations a Content Store can run on. Behaviour is
-/// identical; only the cost model differs, which is exactly what the
-/// scheduler benchmark's eager-vs-lazy axis prices.
-#[derive(Clone, Debug)]
-enum Tables {
-    /// Current generation: every cached entry lives in the slab arena
-    /// exactly once; the wire indexes, digest index and eviction policy
-    /// hold only `Copy` handles, so refresh and eviction touch one slab
-    /// slot instead of cloning `Data`/`Name` per index.
-    Wire {
-        arena: Arena<CsEntry>,
-        /// Hash index keyed by [`Name::to_wire_value`]: the one-probe
-        /// exact lookup every overheard non-prefix Interest pays, from
-        /// borrowed name bytes or from a `Name` encoded once by the
-        /// caller.
-        exact: HashMap<Arc<[u8]>, ArenaRef, FxBuildHasher>,
-        /// *Ordered* wire index over the same keys. Because
-        /// byte-lexicographic order of canonical wire values equals NDN
-        /// canonical `Name` order, and a name's wire value byte-extends
-        /// all of its prefixes', one ordered range walk resolves a
-        /// CanBePrefix Interest with the same first match a `Name`-keyed
-        /// walk returns. No `Name` is built either way.
-        by_wire: BTreeMap<Arc<[u8]>, ArenaRef>,
-        /// Content-hash half of the dual index: implicit SHA-256 digest →
-        /// entry, maintained only when the digest index is enabled.
-        digests: HashMap<Digest, ArenaRef, FxBuildHasher>,
-    },
-    /// Pre-arena generation, kept as a benchmarkable cost model of the
-    /// old control plane: a `Name`-keyed ordered map owning the entries
-    /// plus a wire mirror holding a full clone of each — every insert
-    /// pays two tree searches and an entry clone, every `Name` lookup a
-    /// component-wise tree walk. Always FIFO.
-    Legacy {
-        entries: BTreeMap<Name, CsEntry>,
-        by_wire: BTreeMap<Arc<[u8]>, CsEntry>,
-        fifo: VecDeque<Name>,
-    },
-}
-
 /// A budget-bounded Data cache with pluggable eviction, prefix lookup,
 /// an optional content-hash index and freshness semantics.
 ///
@@ -449,11 +410,10 @@ enum Tables {
 /// opens the production shape: a wire-size-accounted byte budget and any
 /// [`EvictionPolicy`].
 ///
-/// [`ContentStore::legacy`] runs on the previous table generation
-/// (`Name`-keyed maps with cloned entries), observable-behaviour-identical
-/// but with the old cost model; the scheduler benchmark's eager modes use
-/// it so the baseline keeps pricing the control plane the wire-arena
-/// tables replaced.
+/// Every cached entry lives in the slab arena exactly once; the wire
+/// indexes, digest index and eviction policy hold only `Copy` handles, so
+/// refresh and eviction touch one slab slot instead of cloning
+/// `Data`/`Name` per index.
 ///
 /// # Examples
 ///
@@ -475,7 +435,20 @@ enum Tables {
 /// ```
 #[derive(Clone, Debug)]
 pub struct ContentStore {
-    tables: Tables,
+    arena: Arena<CsEntry>,
+    /// Hash index keyed by [`Name::to_wire_value`]: the one-probe exact
+    /// lookup every overheard non-prefix Interest pays, from borrowed name
+    /// bytes or from a `Name` encoded once by the caller.
+    exact: HashMap<Arc<[u8]>, ArenaRef, FxBuildHasher>,
+    /// *Ordered* wire index over the same keys. Because byte-lexicographic
+    /// order of canonical wire values equals NDN canonical `Name` order, and
+    /// a name's wire value byte-extends all of its prefixes', one ordered
+    /// range walk resolves a CanBePrefix Interest with the same first match
+    /// a `Name`-keyed walk returns. No `Name` is built either way.
+    by_wire: BTreeMap<Arc<[u8]>, ArenaRef>,
+    /// Content-hash half of the dual index: implicit SHA-256 digest →
+    /// entry, maintained only when the digest index is enabled.
+    digests: HashMap<Digest, ArenaRef, FxBuildHasher>,
     budget: CsBudget,
     bytes: usize,
     policy: RefCell<Box<dyn EvictionPolicy>>,
@@ -489,48 +462,23 @@ pub struct ContentStore {
 }
 
 impl ContentStore {
-    /// Creates a store holding at most `capacity` packets on the
-    /// wire-arena tables with FIFO eviction — the pre-budget behaviour,
-    /// byte for byte. A capacity of 0 caches nothing.
+    /// Creates a store holding at most `capacity` packets with FIFO
+    /// eviction — the pre-budget behaviour, byte for byte. A capacity of 0
+    /// caches nothing.
     pub fn new(capacity: usize) -> Self {
         Self::with_budget(CsBudget::Count(capacity), EvictionPolicyKind::Fifo)
     }
 
-    /// Creates a store bounded by `budget` with the given eviction policy,
-    /// on the wire-arena tables.
+    /// Creates a store bounded by `budget` with the given eviction policy.
     pub fn with_budget(budget: CsBudget, policy: EvictionPolicyKind) -> Self {
         ContentStore {
-            tables: Tables::Wire {
-                arena: Arena::new(),
-                exact: HashMap::default(),
-                by_wire: BTreeMap::new(),
-                digests: HashMap::default(),
-            },
+            arena: Arena::new(),
+            exact: HashMap::default(),
+            by_wire: BTreeMap::new(),
+            digests: HashMap::default(),
             budget,
             bytes: 0,
             policy: RefCell::new(policy.make()),
-            digest_index: false,
-            lookups: Cell::new(0),
-            hits: Cell::new(0),
-            insertions: 0,
-            refreshes: 0,
-            evictions: 0,
-            rejected_oversize: 0,
-        }
-    }
-
-    /// Creates a store on the legacy (pre-arena) table generation:
-    /// count-capped, FIFO — the original cost model.
-    pub fn legacy(capacity: usize) -> Self {
-        ContentStore {
-            tables: Tables::Legacy {
-                entries: BTreeMap::new(),
-                by_wire: BTreeMap::new(),
-                fifo: VecDeque::new(),
-            },
-            budget: CsBudget::Count(capacity),
-            bytes: 0,
-            policy: RefCell::new(EvictionPolicyKind::Fifo.make()),
             digest_index: false,
             lookups: Cell::new(0),
             hits: Cell::new(0),
@@ -549,15 +497,11 @@ impl ContentStore {
     /// # Panics
     ///
     /// Panics if the store already holds entries (their digests were never
-    /// computed) or runs on the legacy tables.
+    /// computed).
     pub fn with_digest_index(mut self) -> Self {
         assert!(
             self.is_empty(),
             "enable the digest index before inserting entries"
-        );
-        assert!(
-            matches!(self.tables, Tables::Wire { .. }),
-            "the legacy tables have no digest index"
         );
         self.digest_index = true;
         self
@@ -598,10 +542,7 @@ impl ContentStore {
 
     /// Number of cached packets.
     pub fn len(&self) -> usize {
-        match &self.tables {
-            Tables::Wire { exact, .. } => exact.len(),
-            Tables::Legacy { entries, .. } => entries.len(),
-        }
+        self.exact.len()
     }
 
     /// Whether the store is empty.
@@ -620,30 +561,19 @@ impl ContentStore {
     /// `Data` clones share the cached packets' buffers, so only the
     /// bookkeeping is counted).
     pub fn state_bytes(&self) -> usize {
-        let index_bytes = match &self.tables {
-            Tables::Wire { by_wire, .. } => by_wire.keys().map(|k| k.len() + 48).sum::<usize>(),
-            Tables::Legacy { by_wire, .. } => by_wire.keys().map(|k| k.len() + 48).sum::<usize>(),
-        };
-        self.bytes + index_bytes
+        self.bytes + self.by_wire.keys().map(|k| k.len() + 48).sum::<usize>()
     }
 
     /// Live entries in the slab arena (mirrors [`ContentStore::len`];
-    /// exported as the `cs_arena_live` stat). Zero on the legacy tables,
-    /// which never touch the arena.
+    /// exported as the `cs_arena_live` stat).
     pub fn arena_live(&self) -> usize {
-        match &self.tables {
-            Tables::Wire { arena, .. } => arena.live(),
-            Tables::Legacy { .. } => 0,
-        }
+        self.arena.live()
     }
 
     /// Arena slots ever allocated — bounded by peak cache occupancy, not
-    /// by insert volume. Zero on the legacy tables.
+    /// by insert volume.
     pub fn arena_allocated(&self) -> usize {
-        match &self.tables {
-            Tables::Wire { arena, .. } => arena.allocated(),
-            Tables::Legacy { .. } => 0,
-        }
+        self.arena.allocated()
     }
 
     /// What one packet is charged against the budget: the historical
@@ -702,82 +632,51 @@ impl ContentStore {
         } else {
             None
         };
-        match &mut self.tables {
-            Tables::Wire {
-                arena,
-                exact,
-                by_wire,
-                digests,
-            } => {
-                // Encode the name once; on a miss, entry and both wire
-                // indexes share the key.
-                let wire_key: Arc<[u8]> = data.name().to_wire_value().into();
-                if let Some(&handle) = exact.get(&*wire_key) {
-                    // Refresh in place: the indexes are untouched (same
-                    // name, same digest-of-identical-wire unless the
-                    // content changed, which the digest map tracks).
-                    let entry = arena.get_mut(handle).expect("indexed handles are live");
-                    let old_size = entry.size;
-                    if entry.digest != digest {
-                        if let Some(old) = entry.digest {
-                            digests.remove(&old);
-                        }
-                        if let Some(new) = digest {
-                            digests.insert(new, handle);
-                        }
-                        entry.digest = digest;
-                    }
-                    entry.data = data;
-                    entry.inserted = now;
-                    entry.size = size;
-                    entry.cost = cost;
-                    self.bytes = self.bytes.saturating_sub(old_size) + size;
-                    self.refreshes += 1;
-                    self.policy.get_mut().on_refresh(handle, cost);
-                } else {
-                    let handle = arena.insert(CsEntry {
-                        data,
-                        inserted: now,
-                        wire_key: wire_key.clone(),
-                        size,
-                        cost,
-                        digest,
-                    });
-                    exact.insert(wire_key.clone(), handle);
-                    by_wire.insert(wire_key, handle);
-                    if let Some(d) = digest {
-                        digests.insert(d, handle);
-                    }
-                    self.bytes += size;
-                    self.insertions += 1;
-                    self.policy.get_mut().on_insert(handle, cost);
+        // Encode the name once; on a miss, entry and both wire indexes
+        // share the key.
+        let wire_key: Arc<[u8]> = data.name().to_wire_value().into();
+        if let Some(&handle) = self.exact.get(&*wire_key) {
+            // Refresh in place: the indexes are untouched (same name, same
+            // digest-of-identical-wire unless the content changed, which the
+            // digest map tracks).
+            let entry = self
+                .arena
+                .get_mut(handle)
+                .expect("indexed handles are live");
+            let old_size = entry.size;
+            if entry.digest != digest {
+                if let Some(old) = entry.digest {
+                    self.digests.remove(&old);
                 }
-            }
-            Tables::Legacy {
-                entries,
-                by_wire,
-                fifo,
-            } => {
-                let name = data.name().clone();
-                let wire_key: Arc<[u8]> = name.to_wire_value().into();
-                let entry = CsEntry {
-                    data,
-                    inserted: now,
-                    wire_key: wire_key.clone(),
-                    size,
-                    cost,
-                    digest: None,
-                };
-                by_wire.insert(wire_key, entry.clone());
-                if let Some(old) = entries.insert(name.clone(), entry) {
-                    self.bytes = self.bytes.saturating_sub(old.size) + size;
-                    self.refreshes += 1;
-                    return;
+                if let Some(new) = digest {
+                    self.digests.insert(new, handle);
                 }
-                self.bytes += size;
-                self.insertions += 1;
-                fifo.push_back(name);
+                entry.digest = digest;
             }
+            entry.data = data;
+            entry.inserted = now;
+            entry.size = size;
+            entry.cost = cost;
+            self.bytes = self.bytes.saturating_sub(old_size) + size;
+            self.refreshes += 1;
+            self.policy.get_mut().on_refresh(handle, cost);
+        } else {
+            let handle = self.arena.insert(CsEntry {
+                data,
+                inserted: now,
+                wire_key: wire_key.clone(),
+                size,
+                cost,
+                digest,
+            });
+            self.exact.insert(wire_key.clone(), handle);
+            self.by_wire.insert(wire_key, handle);
+            if let Some(d) = digest {
+                self.digests.insert(d, handle);
+            }
+            self.bytes += size;
+            self.insertions += 1;
+            self.policy.get_mut().on_insert(handle, cost);
         }
         self.evict_over_budget();
     }
@@ -788,46 +687,34 @@ impl ContentStore {
     /// can never underflow.
     fn evict_over_budget(&mut self) {
         while self.over_budget() {
-            match &mut self.tables {
-                Tables::Wire {
-                    arena,
-                    exact,
-                    by_wire,
-                    digests,
-                } => {
-                    let Some(victim) = self.policy.get_mut().pop_victim() else {
-                        return;
-                    };
-                    let Some(old) = arena.remove(victim) else {
-                        // A stale handle (already removed elsewhere) costs
-                        // one loop turn and is skipped; the indexes were
-                        // cleaned when the entry actually left.
-                        continue;
-                    };
-                    exact.remove(&*old.wire_key);
-                    by_wire.remove(&*old.wire_key);
-                    if let Some(d) = old.digest {
-                        digests.remove(&d);
-                    }
-                    self.bytes = self.bytes.saturating_sub(old.size);
-                }
-                Tables::Legacy {
-                    entries,
-                    by_wire,
-                    fifo,
-                } => {
-                    let Some(victim) = fifo.pop_front() else {
-                        return;
-                    };
-                    let Some(old) = entries.remove(&victim) else {
-                        continue;
-                    };
-                    by_wire.remove(&*old.wire_key);
-                    self.bytes = self.bytes.saturating_sub(old.size);
-                }
+            let Some(victim) = self.policy.get_mut().pop_victim() else {
+                return;
+            };
+            let Some(old) = self.arena.remove(victim) else {
+                // A stale handle (already removed elsewhere) costs one loop
+                // turn and is skipped; the indexes were cleaned when the
+                // entry actually left.
+                continue;
+            };
+            self.exact.remove(&*old.wire_key);
+            self.by_wire.remove(&*old.wire_key);
+            if let Some(d) = old.digest {
+                self.digests.remove(&d);
             }
+            self.bytes = self.bytes.saturating_sub(old.size);
             self.evictions += 1;
         }
+    }
+
+    fn entry(&self, handle: ArenaRef) -> &CsEntry {
+        self.arena.get(handle).expect("indexed handles are live")
+    }
+
+    /// A hit on a live entry: tells the eviction policy and hands out the
+    /// packet.
+    fn serve(&self, handle: ArenaRef) -> &Data {
+        self.policy.borrow_mut().on_hit(handle);
+        &self.entry(handle).data
     }
 
     fn record(&self, hit: bool) {
@@ -848,45 +735,20 @@ impl ContentStore {
         must_be_fresh: bool,
         now: SimTime,
     ) -> Option<&Data> {
-        match &self.tables {
-            Tables::Wire { .. } => {
-                let wire = name.to_wire_value();
-                if can_be_prefix {
-                    self.lookup_wire_prefix(&wire, must_be_fresh, now)
-                } else {
-                    self.lookup_wire_exact(&wire, must_be_fresh, now)
-                }
-            }
-            Tables::Legacy { entries, .. } => {
-                let found = if can_be_prefix {
-                    entries
-                        .range(name.clone()..)
-                        .take_while(|(n, _)| name.is_prefix_of(n))
-                        .find(|(_, e)| !must_be_fresh || e.is_fresh(now))
-                        .map(|(_, e)| &e.data)
-                } else {
-                    entries
-                        .get(name)
-                        .filter(|e| !must_be_fresh || e.is_fresh(now))
-                        .map(|e| &e.data)
-                };
-                self.record(found.is_some());
-                found
-            }
+        let wire = name.to_wire_value();
+        if can_be_prefix {
+            self.lookup_wire_prefix(&wire, must_be_fresh, now)
+        } else {
+            self.lookup_wire_exact(&wire, must_be_fresh, now)
         }
     }
 
     /// Exact-name lookup ignoring freshness.
     pub fn lookup_exact(&self, name: &Name) -> Option<&Data> {
-        let found = match &self.tables {
-            Tables::Wire { arena, exact, .. } => {
-                exact.get(name.to_wire_value().as_slice()).map(|&h| {
-                    self.policy.borrow_mut().on_hit(h);
-                    &arena.get(h).expect("indexed handles are live").data
-                })
-            }
-            Tables::Legacy { entries, .. } => entries.get(name).map(|e| &e.data),
-        };
+        let found = self
+            .exact
+            .get(name.to_wire_value().as_slice())
+            .map(|&h| self.serve(h));
         self.record(found.is_some());
         found
     }
@@ -900,20 +762,12 @@ impl ContentStore {
         must_be_fresh: bool,
         now: SimTime,
     ) -> Option<&Data> {
-        let found = match &self.tables {
-            Tables::Wire { arena, exact, .. } => exact
-                .get(name_wire)
-                .map(|&h| (h, arena.get(h).expect("indexed handles are live")))
-                .filter(|(_, e)| !must_be_fresh || e.is_fresh(now))
-                .map(|(h, e)| {
-                    self.policy.borrow_mut().on_hit(h);
-                    &e.data
-                }),
-            Tables::Legacy { by_wire, .. } => by_wire
-                .get(name_wire)
-                .filter(|e| !must_be_fresh || e.is_fresh(now))
-                .map(|e| &e.data),
-        };
+        let found = self
+            .exact
+            .get(name_wire)
+            .copied()
+            .filter(|&h| !must_be_fresh || self.entry(h).is_fresh(now))
+            .map(|h| self.serve(h));
         self.record(found.is_some());
         found
     }
@@ -933,22 +787,13 @@ impl ContentStore {
         must_be_fresh: bool,
         now: SimTime,
     ) -> Option<&Data> {
-        let found = match &self.tables {
-            Tables::Wire { arena, by_wire, .. } => by_wire
-                .range::<[u8], _>((Bound::Included(name_wire), Bound::Unbounded))
-                .take_while(|(k, _)| k.starts_with(name_wire))
-                .map(|(_, &h)| (h, arena.get(h).expect("indexed handles are live")))
-                .find(|(_, e)| !must_be_fresh || e.is_fresh(now))
-                .map(|(h, e)| {
-                    self.policy.borrow_mut().on_hit(h);
-                    &e.data
-                }),
-            Tables::Legacy { by_wire, .. } => by_wire
-                .range::<[u8], _>((Bound::Included(name_wire), Bound::Unbounded))
-                .take_while(|(k, _)| k.starts_with(name_wire))
-                .find(|(_, e)| !must_be_fresh || e.is_fresh(now))
-                .map(|(_, e)| &e.data),
-        };
+        let found = self
+            .by_wire
+            .range::<[u8], _>((Bound::Included(name_wire), Bound::Unbounded))
+            .take_while(|(k, _)| k.starts_with(name_wire))
+            .map(|(_, &h)| h)
+            .find(|&h| !must_be_fresh || self.entry(h).is_fresh(now))
+            .map(|h| self.serve(h));
         self.record(found.is_some());
         found
     }
@@ -959,13 +804,7 @@ impl ContentStore {
     /// when the digest index is disabled (see
     /// [`ContentStore::with_digest_index`]) or the digest is unknown.
     pub fn lookup_digest(&self, digest: &Digest) -> Option<&Data> {
-        let found = match &self.tables {
-            Tables::Wire { arena, digests, .. } => digests.get(digest).map(|&h| {
-                self.policy.borrow_mut().on_hit(h);
-                &arena.get(h).expect("indexed handles are live").data
-            }),
-            Tables::Legacy { .. } => None,
-        };
+        let found = self.digests.get(digest).map(|&h| self.serve(h));
         self.record(found.is_some());
         found
     }
@@ -978,28 +817,10 @@ impl ContentStore {
     /// Removes everything (used when resetting a node). Cumulative
     /// counters are kept.
     pub fn clear(&mut self) {
-        match &mut self.tables {
-            Tables::Wire {
-                arena,
-                exact,
-                by_wire,
-                digests,
-            } => {
-                *arena = Arena::new();
-                exact.clear();
-                by_wire.clear();
-                digests.clear();
-            }
-            Tables::Legacy {
-                entries,
-                by_wire,
-                fifo,
-            } => {
-                entries.clear();
-                by_wire.clear();
-                fifo.clear();
-            }
-        }
+        self.arena = Arena::new();
+        self.exact.clear();
+        self.by_wire.clear();
+        self.digests.clear();
         self.policy.get_mut().clear();
         self.bytes = 0;
     }
@@ -1030,86 +851,53 @@ impl ContentStore {
                 self.budget
             ));
         }
-        match &self.tables {
-            Tables::Wire {
-                arena,
-                exact,
-                by_wire,
-                digests,
-            } => {
-                if exact.len() != by_wire.len() || exact.len() != arena.live() {
-                    return Err(format!(
-                        "index sizes diverge: exact {} / by_wire {} / arena {}",
-                        exact.len(),
-                        by_wire.len(),
-                        arena.live()
-                    ));
-                }
-                let tracked = self.policy.borrow().tracked();
-                if tracked != arena.live() {
-                    return Err(format!(
-                        "policy tracks {} entries, arena holds {}",
-                        tracked,
-                        arena.live()
-                    ));
-                }
-                let mut sum = 0usize;
-                for (key, &h) in by_wire {
-                    let Some(entry) = arena.get(h) else {
-                        return Err(format!("dangling ordered-index key {key:?}"));
-                    };
-                    if entry.wire_key != *key {
-                        return Err("ordered-index key resolves to a different entry".into());
-                    }
-                    if exact.get(key) != Some(&h) {
-                        return Err("exact and ordered indexes disagree".into());
-                    }
-                    if let Some(d) = entry.digest {
-                        if digests.get(&d) != Some(&h) {
-                            return Err("digest index misses a live entry's digest".into());
-                        }
-                    }
-                    sum += entry.size;
-                }
-                if digests.len() > exact.len() {
-                    return Err("digest index holds more keys than live entries".into());
-                }
-                for (d, &h) in digests {
-                    if arena.get(h).is_none() {
-                        return Err(format!("dangling digest-index key {d}"));
-                    }
-                }
-                if sum != self.bytes {
-                    return Err(format!(
-                        "byte accounting drifted: tracked {} vs summed {}",
-                        self.bytes, sum
-                    ));
+        if self.exact.len() != self.by_wire.len() || self.exact.len() != self.arena.live() {
+            return Err(format!(
+                "index sizes diverge: exact {} / by_wire {} / arena {}",
+                self.exact.len(),
+                self.by_wire.len(),
+                self.arena.live()
+            ));
+        }
+        let tracked = self.policy.borrow().tracked();
+        if tracked != self.arena.live() {
+            return Err(format!(
+                "policy tracks {} entries, arena holds {}",
+                tracked,
+                self.arena.live()
+            ));
+        }
+        let mut sum = 0usize;
+        for (key, &h) in &self.by_wire {
+            let Some(entry) = self.arena.get(h) else {
+                return Err(format!("dangling ordered-index key {key:?}"));
+            };
+            if entry.wire_key != *key {
+                return Err("ordered-index key resolves to a different entry".into());
+            }
+            if self.exact.get(key) != Some(&h) {
+                return Err("exact and ordered indexes disagree".into());
+            }
+            if let Some(d) = entry.digest {
+                if self.digests.get(&d) != Some(&h) {
+                    return Err("digest index misses a live entry's digest".into());
                 }
             }
-            Tables::Legacy {
-                entries, by_wire, ..
-            } => {
-                if entries.len() != by_wire.len() {
-                    return Err(format!(
-                        "legacy index sizes diverge: entries {} / by_wire {}",
-                        entries.len(),
-                        by_wire.len()
-                    ));
-                }
-                let sum: usize = entries.values().map(|e| e.size).sum();
-                if sum != self.bytes {
-                    return Err(format!(
-                        "legacy byte accounting drifted: tracked {} vs summed {}",
-                        self.bytes, sum
-                    ));
-                }
-                for (name, entry) in entries {
-                    match by_wire.get(&*entry.wire_key) {
-                        Some(mirror) if mirror.data.name() == name => {}
-                        _ => return Err(format!("legacy wire mirror diverges at {name}")),
-                    }
-                }
+            sum += entry.size;
+        }
+        if self.digests.len() > self.exact.len() {
+            return Err("digest index holds more keys than live entries".into());
+        }
+        for (d, &h) in &self.digests {
+            if self.arena.get(h).is_none() {
+                return Err(format!("dangling digest-index key {d}"));
             }
+        }
+        if sum != self.bytes {
+            return Err(format!(
+                "byte accounting drifted: tracked {} vs summed {}",
+                self.bytes, sum
+            ));
         }
         Ok(())
     }
@@ -1135,187 +923,170 @@ mod tests {
         SimTime::from_secs(s)
     }
 
-    /// Both table generations, so every behavioural test runs on each.
-    fn both(capacity: usize) -> [ContentStore; 2] {
-        [ContentStore::new(capacity), ContentStore::legacy(capacity)]
-    }
-
     #[test]
     fn exact_hit_and_miss() {
-        for mut cs in both(10) {
-            cs.insert(data("/col/f/0"), t(0));
-            assert!(cs.lookup_exact(&Name::from_uri("/col/f/0")).is_some());
-            assert!(cs.lookup_exact(&Name::from_uri("/col/f/1")).is_none());
-            let stats = cs.stats();
-            assert_eq!((stats.hits, stats.misses, stats.lookups), (1, 1, 2));
-            cs.audit().expect("clean");
-        }
+        let mut cs = ContentStore::new(10);
+        cs.insert(data("/col/f/0"), t(0));
+        assert!(cs.lookup_exact(&Name::from_uri("/col/f/0")).is_some());
+        assert!(cs.lookup_exact(&Name::from_uri("/col/f/1")).is_none());
+        let stats = cs.stats();
+        assert_eq!((stats.hits, stats.misses, stats.lookups), (1, 1, 2));
+        cs.audit().expect("clean");
     }
 
     #[test]
     fn wire_exact_lookup_mirrors_name_lookup() {
-        for mut cs in both(2) {
-            cs.insert(fresh_data("/col/f/0", 1_000), t(0));
-            let key = Name::from_uri("/col/f/0").to_wire_value();
-            assert_eq!(
-                cs.lookup_wire_exact(&key, false, t(0)),
-                cs.lookup(&Name::from_uri("/col/f/0"), false, false, t(0)),
-            );
-            // Freshness semantics match too.
-            assert!(cs.lookup_wire_exact(&key, true, t(0)).is_some());
-            assert!(cs.lookup_wire_exact(&key, true, t(5)).is_none());
-            assert!(cs.lookup_wire_exact(&key, false, t(5)).is_some());
-            // Eviction and clear keep the index in sync.
-            cs.insert(data("/a"), t(1));
-            cs.insert(data("/b"), t(2)); // evicts /col/f/0
-            assert!(cs.lookup_wire_exact(&key, false, t(2)).is_none());
-            let b_key = Name::from_uri("/b").to_wire_value();
-            assert!(cs.lookup_wire_exact(&b_key, false, t(2)).is_some());
-            cs.clear();
-            assert!(cs.lookup_wire_exact(&b_key, false, t(2)).is_none());
-        }
+        let mut cs = ContentStore::new(2);
+        cs.insert(fresh_data("/col/f/0", 1_000), t(0));
+        let key = Name::from_uri("/col/f/0").to_wire_value();
+        assert_eq!(
+            cs.lookup_wire_exact(&key, false, t(0)),
+            cs.lookup(&Name::from_uri("/col/f/0"), false, false, t(0)),
+        );
+        // Freshness semantics match too.
+        assert!(cs.lookup_wire_exact(&key, true, t(0)).is_some());
+        assert!(cs.lookup_wire_exact(&key, true, t(5)).is_none());
+        assert!(cs.lookup_wire_exact(&key, false, t(5)).is_some());
+        // Eviction and clear keep the index in sync.
+        cs.insert(data("/a"), t(1));
+        cs.insert(data("/b"), t(2)); // evicts /col/f/0
+        assert!(cs.lookup_wire_exact(&key, false, t(2)).is_none());
+        let b_key = Name::from_uri("/b").to_wire_value();
+        assert!(cs.lookup_wire_exact(&b_key, false, t(2)).is_some());
+        cs.clear();
+        assert!(cs.lookup_wire_exact(&b_key, false, t(2)).is_none());
     }
 
     #[test]
     fn wire_prefix_lookup_mirrors_name_lookup() {
-        for mut cs in both(10) {
-            cs.insert(data("/col/f/3"), t(0));
-            cs.insert(fresh_data("/col/f/5", 1_000), t(0));
-            cs.insert(data("/cole/x"), t(0));
-            for (q, fresh) in [
-                ("/col", false),
-                ("/col", true),
-                ("/col/f", false),
-                ("/col/f/3", false),
-                ("/col/g", false),
-                ("/cole", false),
-                ("/other", false),
-                ("/", false),
-            ] {
-                let name = Name::from_uri(q);
-                assert_eq!(
-                    cs.lookup_wire_prefix(&name.to_wire_value(), fresh, t(0)),
-                    cs.lookup(&name, true, fresh, t(0)),
-                    "query {q} fresh={fresh}"
-                );
-            }
-            // The ordered walk returns the same *first* match as the Name
-            // walk, not just any match: /col/f/3 (stale-forever) precedes
-            // /col/f/5.
-            let got = cs
-                .lookup_wire_prefix(&Name::from_uri("/col").to_wire_value(), false, t(0))
-                .expect("hit");
-            assert_eq!(got.name().to_string(), "/col/f/3");
-            let fresh_only = cs
-                .lookup_wire_prefix(&Name::from_uri("/col").to_wire_value(), true, t(0))
-                .expect("fresh hit further along the range");
-            assert_eq!(fresh_only.name().to_string(), "/col/f/5");
+        let mut cs = ContentStore::new(10);
+        cs.insert(data("/col/f/3"), t(0));
+        cs.insert(fresh_data("/col/f/5", 1_000), t(0));
+        cs.insert(data("/cole/x"), t(0));
+        for (q, fresh) in [
+            ("/col", false),
+            ("/col", true),
+            ("/col/f", false),
+            ("/col/f/3", false),
+            ("/col/g", false),
+            ("/cole", false),
+            ("/other", false),
+            ("/", false),
+        ] {
+            let name = Name::from_uri(q);
+            assert_eq!(
+                cs.lookup_wire_prefix(&name.to_wire_value(), fresh, t(0)),
+                cs.lookup(&name, true, fresh, t(0)),
+                "query {q} fresh={fresh}"
+            );
         }
+        // The ordered walk returns the same *first* match as the Name
+        // walk, not just any match: /col/f/3 (stale-forever) precedes
+        // /col/f/5.
+        let got = cs
+            .lookup_wire_prefix(&Name::from_uri("/col").to_wire_value(), false, t(0))
+            .expect("hit");
+        assert_eq!(got.name().to_string(), "/col/f/3");
+        let fresh_only = cs
+            .lookup_wire_prefix(&Name::from_uri("/col").to_wire_value(), true, t(0))
+            .expect("fresh hit further along the range");
+        assert_eq!(fresh_only.name().to_string(), "/col/f/5");
     }
 
     #[test]
     fn prefix_hit() {
-        for mut cs in both(10) {
-            cs.insert(data("/col/f/3"), t(0));
-            assert!(cs.lookup_prefix(&Name::from_uri("/col")).is_some());
-            assert!(cs.lookup_prefix(&Name::from_uri("/col/f")).is_some());
-            assert!(cs.lookup_prefix(&Name::from_uri("/col/g")).is_none());
-            assert!(cs.lookup_prefix(&Name::from_uri("/other")).is_none());
-        }
+        let mut cs = ContentStore::new(10);
+        cs.insert(data("/col/f/3"), t(0));
+        assert!(cs.lookup_prefix(&Name::from_uri("/col")).is_some());
+        assert!(cs.lookup_prefix(&Name::from_uri("/col/f")).is_some());
+        assert!(cs.lookup_prefix(&Name::from_uri("/col/g")).is_none());
+        assert!(cs.lookup_prefix(&Name::from_uri("/other")).is_none());
     }
 
     #[test]
     fn prefix_does_not_match_sibling() {
-        for mut cs in both(10) {
-            cs.insert(data("/cole/f/0"), t(0));
-            // "/col" is a string prefix of "/cole" but not a name prefix.
-            assert!(cs.lookup_prefix(&Name::from_uri("/col")).is_none());
-        }
+        let mut cs = ContentStore::new(10);
+        cs.insert(data("/cole/f/0"), t(0));
+        // "/col" is a string prefix of "/cole" but not a name prefix.
+        assert!(cs.lookup_prefix(&Name::from_uri("/col")).is_none());
     }
 
     #[test]
     fn exact_name_prefix_query_finds_itself() {
-        for mut cs in both(10) {
-            cs.insert(data("/col"), t(0));
-            assert!(cs.lookup_prefix(&Name::from_uri("/col")).is_some());
-        }
+        let mut cs = ContentStore::new(10);
+        cs.insert(data("/col"), t(0));
+        assert!(cs.lookup_prefix(&Name::from_uri("/col")).is_some());
     }
 
     #[test]
     fn fifo_eviction_at_capacity() {
-        for mut cs in both(2) {
-            cs.insert(data("/a"), t(0));
-            cs.insert(data("/b"), t(1));
-            cs.insert(data("/c"), t(2));
-            assert_eq!(cs.len(), 2);
-            assert!(
-                cs.lookup_exact(&Name::from_uri("/a")).is_none(),
-                "oldest evicted"
-            );
-            assert!(cs.lookup_exact(&Name::from_uri("/b")).is_some());
-            assert!(cs.lookup_exact(&Name::from_uri("/c")).is_some());
-            assert_eq!(cs.stats().evictions, 1);
-            cs.audit().expect("clean");
-        }
+        let mut cs = ContentStore::new(2);
+        cs.insert(data("/a"), t(0));
+        cs.insert(data("/b"), t(1));
+        cs.insert(data("/c"), t(2));
+        assert_eq!(cs.len(), 2);
+        assert!(
+            cs.lookup_exact(&Name::from_uri("/a")).is_none(),
+            "oldest evicted"
+        );
+        assert!(cs.lookup_exact(&Name::from_uri("/b")).is_some());
+        assert!(cs.lookup_exact(&Name::from_uri("/c")).is_some());
+        assert_eq!(cs.stats().evictions, 1);
+        cs.audit().expect("clean");
     }
 
     #[test]
     fn reinsert_does_not_duplicate() {
-        for mut cs in both(2) {
-            cs.insert(data("/a"), t(0));
-            cs.insert(data("/a"), t(1));
-            cs.insert(data("/b"), t(2));
-            assert_eq!(cs.len(), 2);
-            assert!(cs.lookup_exact(&Name::from_uri("/a")).is_some());
-            let stats = cs.stats();
-            assert_eq!((stats.insertions, stats.refreshes), (2, 1));
-        }
+        let mut cs = ContentStore::new(2);
+        cs.insert(data("/a"), t(0));
+        cs.insert(data("/a"), t(1));
+        cs.insert(data("/b"), t(2));
+        assert_eq!(cs.len(), 2);
+        assert!(cs.lookup_exact(&Name::from_uri("/a")).is_some());
+        let stats = cs.stats();
+        assert_eq!((stats.insertions, stats.refreshes), (2, 1));
     }
 
     #[test]
     fn reinsert_keeps_fifo_rank_in_both_generations() {
         // The eviction-vs-refresh contract the golden traces pin: under
         // FIFO, re-inserting an existing name refreshes the packet and
-        // freshness clock but keeps the original arrival rank, so the
-        // eviction order is identical in both table generations.
-        for mut cs in both(2) {
-            cs.insert(data("/a"), t(0));
-            cs.insert(data("/b"), t(1));
-            cs.insert(data("/a"), t(2)); // refresh, rank unchanged
-            cs.insert(data("/c"), t(3)); // evicts /a (oldest arrival)
-            assert!(cs.lookup_exact(&Name::from_uri("/a")).is_none());
-            assert!(cs.lookup_exact(&Name::from_uri("/b")).is_some());
-            assert!(cs.lookup_exact(&Name::from_uri("/c")).is_some());
-            cs.audit().expect("no dangling keys after refresh+evict");
-        }
+        // freshness clock but keeps the original arrival rank.
+        let mut cs = ContentStore::new(2);
+        cs.insert(data("/a"), t(0));
+        cs.insert(data("/b"), t(1));
+        cs.insert(data("/a"), t(2)); // refresh, rank unchanged
+        cs.insert(data("/c"), t(3)); // evicts /a (oldest arrival)
+        assert!(cs.lookup_exact(&Name::from_uri("/a")).is_none());
+        assert!(cs.lookup_exact(&Name::from_uri("/b")).is_some());
+        assert!(cs.lookup_exact(&Name::from_uri("/c")).is_some());
+        cs.audit().expect("no dangling keys after refresh+evict");
     }
 
     #[test]
     fn eviction_leaves_no_dangling_wire_index_keys() {
-        // Regression for the eviction-vs-refresh audit: every generation,
-        // after interleaved refreshes and evictions, both wire indexes
-        // must only hold keys that resolve to live entries.
-        for mut cs in both(3) {
-            for round in 0..20u64 {
-                cs.insert(data(&format!("/n/{}", round % 7)), t(round));
-                cs.insert(data(&format!("/n/{}", (round + 3) % 7)), t(round));
-                cs.audit().expect("indexes in sync after every insert");
-            }
+        // Regression for the eviction-vs-refresh audit: after interleaved
+        // refreshes and evictions, both wire indexes must only hold keys
+        // that resolve to live entries.
+        let mut cs = ContentStore::new(3);
+        for round in 0..20u64 {
+            cs.insert(data(&format!("/n/{}", round % 7)), t(round));
+            cs.insert(data(&format!("/n/{}", (round + 3) % 7)), t(round));
+            cs.audit().expect("indexes in sync after every insert");
         }
     }
 
     #[test]
     fn must_be_fresh_rejects_nonfresh_data() {
-        for mut cs in both(10) {
-            // No freshness period: never satisfies MustBeFresh.
-            cs.insert(data("/d/x"), t(0));
-            assert!(cs
-                .lookup(&Name::from_uri("/d/x"), false, true, t(0))
-                .is_none());
-            assert!(cs
-                .lookup(&Name::from_uri("/d/x"), false, false, t(0))
-                .is_some());
-        }
+        let mut cs = ContentStore::new(10);
+        // No freshness period: never satisfies MustBeFresh.
+        cs.insert(data("/d/x"), t(0));
+        assert!(cs
+            .lookup(&Name::from_uri("/d/x"), false, true, t(0))
+            .is_none());
+        assert!(cs
+            .lookup(&Name::from_uri("/d/x"), false, false, t(0))
+            .is_some());
     }
 
     #[test]
@@ -1325,78 +1096,73 @@ mod tests {
         // forever, NEVER to MustBeFresh — and the header fast path
         // (borrowed wire bytes) must agree with the eager Name path at
         // every instant, including t == insertion time.
-        for mut cs in both(10) {
-            let name = Name::from_uri("/col/seg/0");
-            cs.insert(fresh_data("/col/seg/0", 0), t(0));
-            let wire = name.to_wire_value();
-            for now in [t(0), t(1), t(1_000_000)] {
-                assert!(cs.lookup(&name, false, true, now).is_none(), "{now:?}");
-                assert!(cs.lookup_wire_exact(&wire, true, now).is_none());
-                assert!(cs.lookup_wire_prefix(&wire, true, now).is_none());
-                assert!(cs.lookup(&name, false, false, now).is_some());
-                assert!(cs.lookup_wire_exact(&wire, false, now).is_some());
-                assert!(cs.lookup_wire_prefix(&wire, false, now).is_some());
-            }
+        let mut cs = ContentStore::new(10);
+        let name = Name::from_uri("/col/seg/0");
+        cs.insert(fresh_data("/col/seg/0", 0), t(0));
+        let wire = name.to_wire_value();
+        for now in [t(0), t(1), t(1_000_000)] {
+            assert!(cs.lookup(&name, false, true, now).is_none(), "{now:?}");
+            assert!(cs.lookup_wire_exact(&wire, true, now).is_none());
+            assert!(cs.lookup_wire_prefix(&wire, true, now).is_none());
+            assert!(cs.lookup(&name, false, false, now).is_some());
+            assert!(cs.lookup_wire_exact(&wire, false, now).is_some());
+            assert!(cs.lookup_wire_prefix(&wire, false, now).is_some());
         }
     }
 
     #[test]
     fn freshness_expires_over_time() {
-        for mut cs in both(10) {
-            cs.insert(fresh_data("/d/x", 1_000), t(10));
-            assert!(cs
-                .lookup(&Name::from_uri("/d/x"), false, true, t(10))
-                .is_some());
-            assert!(cs
-                .lookup(&Name::from_uri("/d/x"), false, true, t(11))
-                .is_some());
-            assert!(cs
-                .lookup(&Name::from_uri("/d/x"), false, true, t(12))
-                .is_none());
-            // Still served to freshness-agnostic Interests.
-            assert!(cs
-                .lookup(&Name::from_uri("/d/x"), false, false, t(12))
-                .is_some());
-        }
+        let mut cs = ContentStore::new(10);
+        cs.insert(fresh_data("/d/x", 1_000), t(10));
+        assert!(cs
+            .lookup(&Name::from_uri("/d/x"), false, true, t(10))
+            .is_some());
+        assert!(cs
+            .lookup(&Name::from_uri("/d/x"), false, true, t(11))
+            .is_some());
+        assert!(cs
+            .lookup(&Name::from_uri("/d/x"), false, true, t(12))
+            .is_none());
+        // Still served to freshness-agnostic Interests.
+        assert!(cs
+            .lookup(&Name::from_uri("/d/x"), false, false, t(12))
+            .is_some());
     }
 
     #[test]
     fn reinsert_restarts_freshness_clock() {
-        for mut cs in both(10) {
-            cs.insert(fresh_data("/d/x", 1_000), t(0));
-            assert!(cs
-                .lookup(&Name::from_uri("/d/x"), false, true, t(5))
-                .is_none());
-            cs.insert(fresh_data("/d/x", 1_000), t(5));
-            assert!(cs
-                .lookup(&Name::from_uri("/d/x"), false, true, t(5))
-                .is_some());
-        }
+        let mut cs = ContentStore::new(10);
+        cs.insert(fresh_data("/d/x", 1_000), t(0));
+        assert!(cs
+            .lookup(&Name::from_uri("/d/x"), false, true, t(5))
+            .is_none());
+        cs.insert(fresh_data("/d/x", 1_000), t(5));
+        assert!(cs
+            .lookup(&Name::from_uri("/d/x"), false, true, t(5))
+            .is_some());
     }
 
     #[test]
     fn prefix_lookup_skips_stale_finds_fresh() {
-        for mut cs in both(10) {
-            cs.insert(data("/p/a"), t(0)); // stale forever
-            cs.insert(fresh_data("/p/b", 10_000), t(0));
-            let got = cs
-                .lookup(&Name::from_uri("/p"), true, true, t(1))
-                .expect("fresh entry further in the range");
-            assert_eq!(got.name().to_string(), "/p/b");
-        }
+        let mut cs = ContentStore::new(10);
+        cs.insert(data("/p/a"), t(0)); // stale forever
+        cs.insert(fresh_data("/p/b", 10_000), t(0));
+        let got = cs
+            .lookup(&Name::from_uri("/p"), true, true, t(1))
+            .expect("fresh entry further in the range");
+        assert_eq!(got.name().to_string(), "/p/b");
     }
 
     #[test]
     fn lookup_respects_can_be_prefix_flag() {
-        for mut cs in both(10) {
-            cs.insert(data("/col/f/0"), t(0));
-            assert!(cs
-                .lookup(&Name::from_uri("/col"), true, false, t(0))
-                .is_some());
-            assert!(cs
-                .lookup(&Name::from_uri("/col"), false, false, t(0))
-                .is_none());
-        }
+        let mut cs = ContentStore::new(10);
+        cs.insert(data("/col/f/0"), t(0));
+        assert!(cs
+            .lookup(&Name::from_uri("/col"), true, false, t(0))
+            .is_some());
+        assert!(cs
+            .lookup(&Name::from_uri("/col"), false, false, t(0))
+            .is_none());
     }
 
     #[test]
@@ -1404,20 +1170,19 @@ mod tests {
         // Regression: the old post-insert eviction loop transiently held
         // one entry at capacity 0, and a refreshing re-insert resurrected
         // it indefinitely.
-        for mut cs in both(0) {
-            cs.insert(data("/a"), t(0));
-            assert!(cs.is_empty());
-            assert_eq!(cs.state_bytes(), 0);
-            cs.insert(data("/a"), t(1)); // would refresh if anything survived
-            cs.insert(data("/a"), t(2));
-            assert!(cs.is_empty(), "refresh must not resurrect an entry");
-            assert!(cs.lookup_exact(&Name::from_uri("/a")).is_none());
-            assert!(cs
-                .lookup_wire_exact(&Name::from_uri("/a").to_wire_value(), false, t(2))
-                .is_none());
-            assert_eq!(cs.arena_live(), 0);
-            assert_eq!(cs.arena_allocated(), 0, "nothing may enter the arena");
-        }
+        let mut cs = ContentStore::new(0);
+        cs.insert(data("/a"), t(0));
+        assert!(cs.is_empty());
+        assert_eq!(cs.state_bytes(), 0);
+        cs.insert(data("/a"), t(1)); // would refresh if anything survived
+        cs.insert(data("/a"), t(2));
+        assert!(cs.is_empty(), "refresh must not resurrect an entry");
+        assert!(cs.lookup_exact(&Name::from_uri("/a")).is_none());
+        assert!(cs
+            .lookup_wire_exact(&Name::from_uri("/a").to_wire_value(), false, t(2))
+            .is_none());
+        assert_eq!(cs.arena_live(), 0);
+        assert_eq!(cs.arena_allocated(), 0, "nothing may enter the arena");
     }
 
     #[test]
@@ -1461,16 +1226,15 @@ mod tests {
 
     #[test]
     fn state_bytes_grow_and_shrink() {
-        for mut cs in both(1) {
-            assert_eq!(cs.state_bytes(), 0);
-            cs.insert(data("/a"), t(0));
-            let b1 = cs.state_bytes();
-            assert!(b1 > 0);
-            cs.insert(data("/b"), t(1)); // evicts /a
-            assert!(cs.state_bytes() > 0);
-            cs.clear();
-            assert_eq!(cs.state_bytes(), 0);
-        }
+        let mut cs = ContentStore::new(1);
+        assert_eq!(cs.state_bytes(), 0);
+        cs.insert(data("/a"), t(0));
+        let b1 = cs.state_bytes();
+        assert!(b1 > 0);
+        cs.insert(data("/b"), t(1)); // evicts /a
+        assert!(cs.state_bytes() > 0);
+        cs.clear();
+        assert_eq!(cs.state_bytes(), 0);
     }
 
     #[test]

@@ -187,15 +187,14 @@ pub enum PeekOutcome {
 #[derive(Clone, Debug)]
 pub struct ForwarderConfig {
     /// Content Store capacity in packets, used when no byte budget is
-    /// set (and always on the legacy tables, which predate byte budgets).
+    /// set.
     pub cs_capacity: usize,
     /// Content Store memory budget in bytes (wire-size accounted). When
-    /// set, it replaces the packet-count cap on the wire-arena tables;
-    /// `None` keeps the historical count-capped store bit-identical.
+    /// set, it replaces the packet-count cap; `None` keeps the historical
+    /// count-capped store bit-identical.
     pub cs_budget_bytes: Option<usize>,
-    /// Content Store eviction policy. The default, FIFO, is the
-    /// trace-equivalence baseline; the legacy tables are always FIFO
-    /// regardless of this knob.
+    /// Content Store eviction policy. The default, FIFO, is what the
+    /// golden traces pin.
     pub cs_policy: EvictionPolicyKind,
     /// Cache Data that matched no PIT entry (pure-forwarder overhearing).
     pub cache_unsolicited: bool,
@@ -212,21 +211,6 @@ pub struct ForwarderConfig {
     /// this, a peer's own pending `/dapes/discovery` beacon would swallow
     /// all neighbor probes for the shared discovery name.
     pub deliver_on_aggregate: Vec<FaceId>,
-    /// Resolve the *forward* outcome on the peek path too: when a peeked
-    /// would-be-new Interest has a usable wireless route and the strategy
-    /// can decide from the name alone, record the PIT entry and relay the
-    /// received frame with its hop-limit byte patched copy-on-write
-    /// ([`Action::RelayInterest`]) — never constructing an [`Interest`].
-    /// Behaviour is bit-identical either way; off forces the full-decode
-    /// forward path.
-    pub relay_patch: bool,
-    /// Run the PIT and Content Store on their legacy (pre-arena,
-    /// `Name`-keyed) table generation instead of the wire-indexed slab
-    /// arenas. Observable behaviour is identical; only the cost model
-    /// changes. The scheduler benchmark's eager baseline modes enable
-    /// this so the speedup they anchor keeps pricing the control plane
-    /// the wire-arena tables replaced.
-    pub legacy_tables: bool,
 }
 
 impl Default for ForwarderConfig {
@@ -238,8 +222,6 @@ impl Default for ForwarderConfig {
             cache_unsolicited: false,
             rebroadcast_faces: Vec::new(),
             deliver_on_aggregate: Vec::new(),
-            relay_patch: true,
-            legacy_tables: false,
         }
     }
 }
@@ -291,18 +273,13 @@ impl Forwarder {
 
     /// Creates a forwarder with a custom strategy (DAPES multi-hop logic).
     pub fn with_strategy(cfg: ForwarderConfig, strategy: Box<dyn Strategy>) -> Self {
-        let (cs, pit) = if cfg.legacy_tables {
-            (ContentStore::legacy(cfg.cs_capacity), Pit::legacy())
-        } else {
-            let budget = match cfg.cs_budget_bytes {
-                Some(bytes) => CsBudget::Bytes(bytes),
-                None => CsBudget::Count(cfg.cs_capacity),
-            };
-            (ContentStore::with_budget(budget, cfg.cs_policy), Pit::new())
+        let budget = match cfg.cs_budget_bytes {
+            Some(bytes) => CsBudget::Bytes(bytes),
+            None => CsBudget::Count(cfg.cs_capacity),
         };
         Forwarder {
-            cs,
-            pit,
+            cs: ContentStore::with_budget(budget, cfg.cs_policy),
+            pit: Pit::new(),
             fib: Fib::new(),
             cfg,
             strategy,
@@ -359,7 +336,7 @@ impl Forwarder {
     ///    from the peeked lifetime — bumps the suppression counter, and
     ///    returns no actions: the not-for-me drop, byte-identical to the
     ///    full pipeline's outcome;
-    /// 4. **decode-free relay** (with [`ForwarderConfig::relay_patch`] on) —
+    /// 4. **decode-free relay** —
     ///    a would-be-new Interest with a usable wireless route whose
     ///    strategy can decide from the name alone records its PIT entry and,
     ///    on Forward, relays the received frame with its hop-limit byte
@@ -463,10 +440,7 @@ impl Forwarder {
             self.stats.suppressed_interests += 1;
             return Some((Vec::new(), PeekOutcome::FibNoRoute));
         }
-        if self.cfg.relay_patch {
-            return self.relay_from_header(now, header, backing, ingress, usable);
-        }
-        None
+        self.relay_from_header(now, header, backing, ingress, usable)
     }
 
     /// The decode-free relay: resolves the *forward* outcome of a peeked
@@ -599,26 +573,16 @@ impl Forwarder {
         ingress: FaceId,
     ) -> Vec<Action> {
         // Encode the name once; the CS probe and the PIT insert both key on
-        // the canonical wire value. The legacy table generation keys on the
-        // `Name` itself, so it skips the encode and pays its own tree-walk
-        // costs instead — exactly the pre-refactor pipeline.
-        let name_wire = (!self.cfg.legacy_tables).then(|| interest.name().to_wire_value());
+        // the canonical wire value.
+        let name_wire = interest.name().to_wire_value();
 
         // 1. Content Store.
-        let cs_hit = match &name_wire {
-            Some(wire) if interest.can_be_prefix() => {
-                self.cs
-                    .lookup_wire_prefix(wire, interest.must_be_fresh(), now)
-            }
-            Some(wire) => self
-                .cs
-                .lookup_wire_exact(wire, interest.must_be_fresh(), now),
-            None => self.cs.lookup(
-                interest.name(),
-                interest.can_be_prefix(),
-                interest.must_be_fresh(),
-                now,
-            ),
+        let cs_hit = if interest.can_be_prefix() {
+            self.cs
+                .lookup_wire_prefix(&name_wire, interest.must_be_fresh(), now)
+        } else {
+            self.cs
+                .lookup_wire_exact(&name_wire, interest.must_be_fresh(), now)
         };
         if let Some(data) = cs_hit {
             self.stats.cs_hits += 1;
@@ -630,23 +594,14 @@ impl Forwarder {
 
         // 2. PIT.
         let expiry = now + SimDuration::from_millis(interest.lifetime_ms());
-        let inserted = match &name_wire {
-            Some(wire) => self.pit.insert_wired(
-                interest.name(),
-                wire,
-                interest.nonce(),
-                interest.can_be_prefix(),
-                ingress,
-                expiry,
-            ),
-            None => self.pit.insert(
-                interest.name(),
-                interest.nonce(),
-                interest.can_be_prefix(),
-                ingress,
-                expiry,
-            ),
-        };
+        let inserted = self.pit.insert_wired(
+            interest.name(),
+            &name_wire,
+            interest.nonce(),
+            interest.can_be_prefix(),
+            ingress,
+            expiry,
+        );
         match inserted {
             PitInsert::DuplicateNonce => {
                 self.stats.duplicate_interests += 1;
@@ -1135,35 +1090,35 @@ mod tests {
 
     #[test]
     fn header_pipeline_defers_aggregation_and_routable_new_entries() {
-        // With the relay patch off, a new entry with a usable route must
-        // take the full pipeline (the forwarded Interest carries payload
-        // fields the header does not have).
-        let mut f = Forwarder::new(ForwarderConfig {
-            relay_patch: false,
-            ..ForwarderConfig::default()
-        });
+        // A new entry routed to the application must take the full
+        // pipeline (the application needs the decoded Interest).
+        let mut f = Forwarder::new(ForwarderConfig::default());
         f.fib_mut().register(Name::from_uri("/"), FaceId::WIRELESS);
         f.fib_mut().register(Name::from_uri("/app"), FaceId::APP);
-        let i = interest("/a", 1);
+        let i = interest("/app/a", 1);
         let wire = wire_of(&i);
         assert!(f
-            .process_interest_header(now(), &header_of(&wire), &wire, FaceId::APP)
+            .process_interest_header(now(), &header_of(&wire), &wire, FaceId::WIRELESS)
             .is_none());
         assert_eq!(
-            f.stats().cs_hits + f.stats().duplicate_interests + f.stats().suppressed_interests,
+            f.stats().cs_hits
+                + f.stats().duplicate_interests
+                + f.stats().suppressed_interests
+                + f.stats().forwarded_interests,
             0,
             "fall-through must count nothing"
         );
-        f.process_interest(now(), &i, FaceId::APP);
+        assert!(f.pit().is_empty(), "fall-through must not touch the PIT");
+        f.process_interest(now(), &i, FaceId::WIRELESS);
         // Same name, fresh nonce: aggregation also defers.
-        let wire = wire_of(&interest("/a", 2));
+        let wire = wire_of(&interest("/app/a", 2));
         assert!(f
-            .process_interest_header(now(), &header_of(&wire), &wire, FaceId::APP)
+            .process_interest_header(now(), &header_of(&wire), &wire, FaceId::WIRELESS)
             .is_none());
         // ...even when CanBePrefix is set and nothing is cached.
-        let wire = wire_of(&interest("/a", 3).with_can_be_prefix(true));
+        let wire = wire_of(&interest("/app/a", 3).with_can_be_prefix(true));
         assert!(f
-            .process_interest_header(now(), &header_of(&wire), &wire, FaceId::APP)
+            .process_interest_header(now(), &header_of(&wire), &wire, FaceId::WIRELESS)
             .is_none());
     }
 
@@ -1171,20 +1126,22 @@ mod tests {
     fn header_pipeline_with_rebroadcast_ingress_defers_instead_of_dropping() {
         // DAPES-style forwarders re-broadcast out the ingress radio: the
         // same overheard Interest that a point-to-point FIB would drop is a
-        // usable-route case here and (with the relay patch off) must fall
-        // through to the full pipeline.
+        // usable-route case here. When the decode-free relay cannot take
+        // the frame (trailing bytes after the packet), it must fall through
+        // to the full pipeline instead of being dropped.
         let mut f = Forwarder::new(ForwarderConfig {
             rebroadcast_faces: vec![FaceId::WIRELESS],
-            relay_patch: false,
             ..ForwarderConfig::default()
         });
         f.fib_mut().register(Name::from_uri("/"), FaceId::WIRELESS);
-        let i = interest("/a", 1);
-        let wire = wire_of(&i);
+        let mut with_trailer = interest("/a", 1).encode();
+        with_trailer.extend_from_slice(&[0x99, 0x00]);
+        let wire = Payload::from(with_trailer);
         assert!(f
             .process_interest_header(now(), &header_of(&wire), &wire, FaceId::WIRELESS)
             .is_none());
         assert!(f.pit().is_empty(), "fall-through must not touch the PIT");
+        assert_eq!(f.stats().suppressed_interests, 0, "not a no-route drop");
     }
 
     fn relay_fwd() -> Forwarder {

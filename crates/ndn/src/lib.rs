@@ -36,6 +36,8 @@ pub mod face;
 pub mod fib;
 pub mod forwarder;
 pub mod hash;
+#[cfg(test)]
+mod model;
 pub mod name;
 pub mod packet;
 pub mod pit;

@@ -30,8 +30,7 @@ use crate::time::{SimDuration, SimTime};
 use crate::wheel::{TimerWheel, WheelEntry};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 /// Builds the replacement stack for a node being restarted by a
 /// [`FaultAction::Restart`]. The second argument is the crashed incarnation
@@ -40,80 +39,7 @@ use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 /// engine can hand a shared factory to per-thread shards.
 pub type StackFactory = Box<dyn FnMut(NodeId, Option<&dyn NetStack>) -> Box<dyn NetStack> + Send>;
 
-/// How receivers are selected per transmission.
-///
-/// Both modes produce bit-identical traces for equal seeds: the grid yields
-/// a sorted candidate superset that is filtered by the same checks in the
-/// same node order, so every RNG draw happens for the same receiver at the
-/// same point in the stream. `BruteForce` exists for equivalence tests and
-/// as the recorded pre-refactor baseline in the hot-path benchmark.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum DeliveryMode {
-    /// O(k) receiver selection via the uniform spatial grid (default).
-    #[default]
-    Grid,
-    /// The original O(N)-per-transmission scan over every node.
-    BruteForce,
-}
-
-/// Which event-queue implementation (and command-buffer regime) drives the
-/// run.
-///
-/// Both modes pop events in the exact same `(time, event_seq)` order, so
-/// equal seeds give bit-identical traces either way — asserted across the
-/// scenario matrix by `tests/sched.rs`. `Heap` reproduces the pre-refactor
-/// control-plane cost model (a `BinaryHeap` with O(log n) push/pop plus a
-/// fresh `Vec<Command>` allocation per stack callback) and exists for
-/// equivalence tests and as the recorded baseline in the scheduler
-/// benchmark; `Wheel` is the hierarchical timer wheel with pooled command
-/// buffers.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum QueueMode {
-    /// O(1) hierarchical timer wheel + pooled command buffers (default).
-    #[default]
-    Wheel,
-    /// The original binary heap with per-callback buffer allocations.
-    Heap,
-}
-
-/// How a finished transmission's deliveries are turned into events.
-///
-/// Both modes run the same callbacks in the same order with the same RNG
-/// draws, so equal seeds give bit-identical protocol traces either way —
-/// asserted across the scenario matrix by `tests/sched.rs` and by proptests.
-/// What differs is the event-queue and command-buffer traffic: `Batched`
-/// schedules **one** arrival event per transmission carrying the
-/// precomputed (grid-sorted) receiver set and executes every per-receiver
-/// delivery — plus the sender's [`NetStack::on_tx_done`] — inside a single
-/// stack-entry round trip with one recycled command buffer, while
-/// `PerReceiver` reproduces the classic ns-3-style cost model of one
-/// scheduled receive event (and one buffer round trip) per receiver.
-///
-/// One observable edge: [`World::run_until_cond`] checks its predicate
-/// between *events*, so a per-receiver fan-out can be interrupted
-/// mid-transmission (later receivers' callbacks not yet run when the
-/// predicate fires) where a batch always completes atomically. Completed
-/// runs — and everything the equivalence suites fingerprint — are
-/// unaffected; only state inspected at the instant an early-stopping
-/// predicate fires can differ between the modes.
-///
-/// [`NetStack::on_tx_done`]: crate::node::NetStack::on_tx_done
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum DeliveryEvents {
-    /// One arrival event per transmission; all receivers delivered in a
-    /// single batched dispatch (default).
-    #[default]
-    Batched,
-    /// One arrival event per receiver plus a sender-outcome event: the
-    /// recorded baseline for the scheduler benchmark.
-    PerReceiver,
-}
-
 /// Static configuration of a simulation run.
-///
-/// Execution-strategy knobs (queue, delivery, event granularity, cores)
-/// live in [`ExecProfile`]; the loose per-knob setters survive one release
-/// as deprecated forwarding shims.
 #[derive(Clone, Debug)]
 pub struct WorldConfig {
     /// Field dimensions in metres (paper: 300 × 300).
@@ -124,8 +50,8 @@ pub struct WorldConfig {
     pub phy: PhyConfig,
     /// RNG seed; equal seeds give bit-identical runs.
     pub seed: u64,
-    /// Execution strategy: queue/delivery/event-granularity plus the
-    /// sharded engine's `cores` and `lookahead`.
+    /// The sharded engine's `cores` and `lookahead`; the sequential world
+    /// ignores it.
     pub exec: ExecProfile,
 }
 
@@ -138,38 +64,6 @@ impl Default for WorldConfig {
             seed: 1,
             exec: ExecProfile::default(),
         }
-    }
-}
-
-impl WorldConfig {
-    /// Sets the receiver-selection algorithm.
-    #[deprecated(
-        since = "0.10.0",
-        note = "use `exec.delivery` / `ExecProfile::with_delivery`"
-    )]
-    pub fn with_delivery(mut self, delivery: DeliveryMode) -> Self {
-        self.exec.delivery = delivery;
-        self
-    }
-
-    /// Sets the event-queue implementation.
-    #[deprecated(
-        since = "0.10.0",
-        note = "use `exec.queue` / `ExecProfile::with_queue`"
-    )]
-    pub fn with_queue(mut self, queue: QueueMode) -> Self {
-        self.exec.queue = queue;
-        self
-    }
-
-    /// Sets the delivery-event granularity.
-    #[deprecated(
-        since = "0.10.0",
-        note = "use `exec.delivery_events` / `ExecProfile::with_delivery_events`"
-    )]
-    pub fn with_delivery_events(mut self, delivery_events: DeliveryEvents) -> Self {
-        self.exec.delivery_events = delivery_events;
-        self
     }
 }
 
@@ -244,8 +138,8 @@ pub struct ForeignFrame {
 }
 
 /// One transmission's precomputed deliveries, carried by a single
-/// [`EventKind::DeliverBatch`] arrival event in [`DeliveryEvents::Batched`]
-/// mode. Boxed in the event so the queue entry stays pointer-sized.
+/// [`EventKind::DeliverBatch`] arrival event. Boxed in the event so the
+/// queue entry stays pointer-sized.
 #[derive(Debug)]
 struct DeliveryBatch {
     frame: Frame,
@@ -282,19 +176,9 @@ enum EventKind {
     MobilityChange {
         node: NodeId,
     },
-    /// One arrival event for a whole transmission (batched mode).
+    /// One arrival event for a whole transmission: every receiver's
+    /// `on_frame`, then the sender's `on_tx_done`.
     DeliverBatch(Box<DeliveryBatch>),
-    /// One arrival event for one receiver (per-receiver mode); the frame is
-    /// shared across the transmission's events.
-    Deliver {
-        receiver: NodeId,
-        frame: std::sync::Arc<Frame>,
-    },
-    /// Sender-outcome event trailing the per-receiver deliveries.
-    TxDone {
-        node: NodeId,
-        outcome: TxOutcome,
-    },
     /// One scripted fault from the world's [`FaultPlan`], by action index.
     Fault {
         idx: u32,
@@ -306,78 +190,10 @@ enum EventKind {
     Foreign(Box<ForeignFrame>),
 }
 
-struct Event {
-    time: SimTime,
-    seq: u64,
-    kind: EventKind,
-}
-
 // Million-entry queues only stay cache-resident if entries stay small: the
-// fat payloads (pending frames, delivery batches) are boxed, so an event is
-// the 16-byte `(time, seq)` key plus a few words of kind. These bounds are
-// what the timer-wheel slots and the binary heap actually store per entry.
+// fat payloads (pending frames, delivery batches) are boxed, so a wheel slot
+// stores the 16-byte `(time, seq)` key plus a few words of kind.
 const _: () = assert!(std::mem::size_of::<EventKind>() <= 32);
-const _: () = assert!(std::mem::size_of::<Event>() <= 48);
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for Event {}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
-}
-
-/// The pending-event queue, in either implementation. Both pop in exact
-/// `(time, seq)` order; see [`QueueMode`].
-enum EventQueue {
-    Heap(BinaryHeap<Reverse<Event>>),
-    Wheel(TimerWheel<EventKind>),
-}
-
-impl EventQueue {
-    fn new(mode: QueueMode) -> Self {
-        match mode {
-            QueueMode::Heap => EventQueue::Heap(BinaryHeap::new()),
-            QueueMode::Wheel => EventQueue::Wheel(TimerWheel::new()),
-        }
-    }
-
-    fn push(&mut self, ev: Event) {
-        match self {
-            EventQueue::Heap(h) => h.push(Reverse(ev)),
-            EventQueue::Wheel(w) => w.push(ev.time.as_micros(), ev.seq, ev.kind),
-        }
-    }
-
-    /// Time of the earliest pending event (the wheel may advance its cursor
-    /// over empty slots, hence `&mut`).
-    fn next_time(&mut self) -> Option<SimTime> {
-        match self {
-            EventQueue::Heap(h) => h.peek().map(|Reverse(ev)| ev.time),
-            EventQueue::Wheel(w) => w.peek_time().map(SimTime::from_micros),
-        }
-    }
-
-    fn pop(&mut self) -> Option<Event> {
-        match self {
-            EventQueue::Heap(h) => h.pop().map(|Reverse(ev)| ev),
-            EventQueue::Wheel(w) => w.pop().map(|WheelEntry { time, seq, item }| Event {
-                time: SimTime::from_micros(time),
-                seq,
-                kind: item,
-            }),
-        }
-    }
-}
 
 /// The discrete-event simulator.
 ///
@@ -394,19 +210,18 @@ impl EventQueue {
 pub struct World {
     cfg: WorldConfig,
     now: SimTime,
-    queue: EventQueue,
+    queue: TimerWheel<EventKind>,
     event_seq: u64,
     nodes: Vec<NodeSlot>,
     active_tx: Vec<ActiveTx>,
     next_tx_id: u64,
     next_frame_seq: u64,
     timers: crate::node::TimerSlab,
-    /// Free list of command buffers recycled across stack callbacks (only
-    /// used in [`QueueMode::Wheel`]; the heap baseline allocates fresh).
+    /// Free list of command buffers recycled across stack callbacks.
     cmd_pool: Vec<Vec<Command>>,
     /// Free list of receiver vectors recycled through delivery batches, so
-    /// batched mode schedules its one arrival event without a fresh
-    /// allocation per transmission.
+    /// a transmission schedules its one arrival event without a fresh
+    /// allocation.
     recv_pool: Vec<Vec<NodeId>>,
     /// Scratch buffer of sender positions whose transmissions overlap the
     /// one being delivered, computed once per transmission so the
@@ -454,7 +269,7 @@ impl World {
         let grid = SpatialGrid::new(cfg.field, cfg.range.max(1e-6));
         World {
             now: SimTime::ZERO,
-            queue: EventQueue::new(cfg.exec.queue),
+            queue: TimerWheel::new(),
             event_seq: 0,
             nodes: Vec::new(),
             active_tx: Vec::new(),
@@ -538,8 +353,7 @@ impl World {
     }
 
     /// Attaches a fault script: each action becomes one ordinary event in
-    /// the shared queue, so traces stay bit-identical across every
-    /// [`QueueMode`] / [`DeliveryEvents`] pairing with the plan applied.
+    /// the shared queue, ordered with every other event by `(time, seq)`.
     ///
     /// # Panics
     ///
@@ -608,31 +422,13 @@ impl World {
     }
 
     /// Nodes currently within radio range of `node` (excluding itself),
-    /// ascending by id. Served from the spatial grid in O(k) unless the
-    /// world was configured with [`DeliveryMode::BruteForce`].
+    /// ascending by id, served from the spatial grid in O(k).
     pub fn neighbors_of(&self, node: NodeId) -> Vec<NodeId> {
-        match self.cfg.exec.delivery {
-            DeliveryMode::BruteForce => self.neighbors_of_brute(node),
-            DeliveryMode::Grid => {
-                let p = self.position_of(node);
-                let mut out = Vec::new();
-                self.grid.candidates_into(p, self.cfg.range, &mut out);
-                out.retain(|&other| {
-                    other != node && self.position_of(other).within(&p, self.cfg.range)
-                });
-                out
-            }
-        }
-    }
-
-    /// The original O(N) neighbor scan, kept as the reference the grid is
-    /// equivalence-tested against.
-    pub fn neighbors_of_brute(&self, node: NodeId) -> Vec<NodeId> {
         let p = self.position_of(node);
-        (0..self.nodes.len() as u32)
-            .map(NodeId)
-            .filter(|&other| other != node && self.position_of(other).within(&p, self.cfg.range))
-            .collect()
+        let mut out = Vec::new();
+        self.grid.candidates_into(p, self.cfg.range, &mut out);
+        out.retain(|&other| other != node && self.position_of(other).within(&p, self.cfg.range));
+        out
     }
 
     /// Immutable downcast access to a node's stack.
@@ -671,11 +467,23 @@ impl World {
 
     fn push_event(&mut self, time: SimTime, kind: EventKind) {
         self.event_seq += 1;
-        self.queue.push(Event {
-            time,
-            seq: self.event_seq,
-            kind,
-        });
+        self.queue.push(time.as_micros(), self.event_seq, kind);
+    }
+
+    /// Time of the earliest pending event (the wheel may advance its cursor
+    /// over empty slots, hence `&mut`).
+    fn next_event_time(&mut self) -> Option<SimTime> {
+        self.queue.peek_time().map(SimTime::from_micros)
+    }
+
+    /// Pops the earliest pending event, advancing the clock to it.
+    fn pop_event(&mut self) -> EventKind {
+        let WheelEntry { time, item, .. } = self.queue.pop().expect("peeked");
+        let time = SimTime::from_micros(time);
+        debug_assert!(time >= self.now, "time went backwards");
+        self.now = time;
+        self.stats.event_dispatches += 1;
+        item
     }
 
     fn ensure_started(&mut self) {
@@ -692,9 +500,8 @@ impl World {
             s
         };
         // Schedule the fault script before any `on_start` runs: the fault
-        // events' queue positions are then a pure function of the plan,
-        // identical in every queue and delivery-event mode. Late joiners are
-        // parked dormant here so the start loop skips them.
+        // events' queue positions are then a pure function of the plan.
+        // Late joiners are parked dormant here so the start loop skips them.
         for i in 0..self.fault_actions.len() {
             let t = self.fault_actions[i].0;
             let join = match &self.fault_actions[i].1 {
@@ -717,15 +524,12 @@ impl World {
     /// Runs the event loop until `deadline` (inclusive of events at it).
     pub fn run_until(&mut self, deadline: SimTime) {
         self.ensure_started();
-        while let Some(t) = self.queue.next_time() {
+        while let Some(t) = self.next_event_time() {
             if t > deadline {
                 break;
             }
-            let ev = self.queue.pop().expect("peeked");
-            debug_assert!(ev.time >= self.now, "time went backwards");
-            self.now = ev.time;
-            self.stats.event_dispatches += 1;
-            self.dispatch(ev.kind);
+            let kind = self.pop_event();
+            self.dispatch(kind);
         }
         self.now = deadline.max(self.now);
     }
@@ -735,10 +539,7 @@ impl World {
     ///
     /// The predicate is consulted at *instant boundaries*: every event
     /// scheduled at the current simulation instant — a whole transmission's
-    /// delivery fan-out included — is dispatched before `pred` runs. Both
-    /// [`DeliveryEvents`] granularities therefore expose the exact same
-    /// sequence of states to early-stopping predicates; a per-receiver
-    /// fan-out can no longer be interrupted mid-transmission.
+    /// delivery fan-out included — is dispatched before `pred` runs.
     pub fn run_until_cond<F: FnMut(&World) -> bool>(
         &mut self,
         deadline: SimTime,
@@ -748,18 +549,16 @@ impl World {
         if pred(self) {
             return true;
         }
-        while let Some(t) = self.queue.next_time() {
+        while let Some(t) = self.next_event_time() {
             if t > deadline {
                 break;
             }
             // Drain the instant completely (including events the dispatches
             // themselves push at the same time) before checking `pred`.
             loop {
-                let ev = self.queue.pop().expect("peeked");
-                self.now = ev.time;
-                self.stats.event_dispatches += 1;
-                self.dispatch(ev.kind);
-                match self.queue.next_time() {
+                let kind = self.pop_event();
+                self.dispatch(kind);
+                match self.next_event_time() {
                     Some(next) if next == t => {}
                     _ => break,
                 }
@@ -860,12 +659,6 @@ impl World {
             }
             EventKind::TxEnd { tx_id } => self.finish_tx(tx_id),
             EventKind::DeliverBatch(batch) => self.dispatch_batch(*batch),
-            EventKind::Deliver { receiver, frame } => {
-                self.with_stack(receiver, |stack, ctx| stack.on_frame(ctx, &frame));
-            }
-            EventKind::TxDone { node, outcome } => {
-                self.with_stack(node, |stack, ctx| stack.on_tx_done(ctx, outcome));
-            }
             EventKind::Fault { idx } => self.apply_fault(idx as usize),
             EventKind::Foreign(frame) => self.deliver_foreign(*frame),
             EventKind::MobilityChange { node } => {
@@ -979,20 +772,8 @@ impl World {
         };
         // Recycle the command buffer through the free list: callbacks never
         // nest, so steady state is a single warm allocation for the whole
-        // run. The heap baseline allocates fresh per callback, reproducing
-        // the pre-pool cost model (every callback counts as a pool miss).
-        let pooled = self.cfg.exec.queue == QueueMode::Wheel;
-        let buf = if pooled { self.cmd_pool.pop() } else { None };
-        let buf = match buf {
-            Some(b) => {
-                self.stats.cmd_pool_hits += 1;
-                b
-            }
-            None => {
-                self.stats.cmd_pool_misses += 1;
-                Vec::new()
-            }
-        };
+        // run.
+        let buf = self.claim_cmd_buf();
         let mut commands = {
             let mut ctx = NodeCtx {
                 now: self.now,
@@ -1008,28 +789,12 @@ impl World {
         };
         self.nodes[idx].stack = Some(stack);
         self.apply_commands(node, &mut commands);
-        if pooled {
-            commands.clear();
-            self.cmd_pool.push(commands);
-        }
+        self.cmd_pool.push(commands);
     }
 
-    /// Executes one transmission's whole delivery fan-out — every receiver's
-    /// `on_frame` plus the sender's `on_tx_done` — inside a single
-    /// stack-entry round trip: one command buffer is claimed once and reused
-    /// across every callback, where the per-receiver baseline pays a queue
-    /// round trip and a buffer claim per receiver. Callbacks and their
-    /// buffered commands run in exactly the per-receiver order (receivers
-    /// ascending, sender outcome last), so the RNG stream is identical.
-    fn dispatch_batch(&mut self, batch: DeliveryBatch) {
-        let DeliveryBatch {
-            frame,
-            mut receivers,
-            sender,
-            outcome,
-        } = batch;
-        let pooled = self.cfg.exec.queue == QueueMode::Wheel;
-        let mut commands = match if pooled { self.cmd_pool.pop() } else { None } {
+    /// A command buffer from the free list, or a fresh one on a miss.
+    fn claim_cmd_buf(&mut self) -> Vec<Command> {
+        match self.cmd_pool.pop() {
             Some(b) => {
                 self.stats.cmd_pool_hits += 1;
                 b
@@ -1038,7 +803,22 @@ impl World {
                 self.stats.cmd_pool_misses += 1;
                 Vec::new()
             }
-        };
+        }
+    }
+
+    /// Executes one transmission's whole delivery fan-out — every receiver's
+    /// `on_frame` plus the sender's `on_tx_done` — inside a single
+    /// stack-entry round trip: one command buffer is claimed once and reused
+    /// across every callback. Callbacks and their buffered commands run
+    /// receivers ascending, sender outcome last.
+    fn dispatch_batch(&mut self, batch: DeliveryBatch) {
+        let DeliveryBatch {
+            frame,
+            mut receivers,
+            sender,
+            outcome,
+        } = batch;
+        let mut commands = self.claim_cmd_buf();
         for &receiver in &receivers {
             let idx = receiver.0 as usize;
             let Some(mut stack) = self.nodes[idx].stack.take() else {
@@ -1077,10 +857,7 @@ impl World {
             self.nodes[sender.0 as usize].stack = Some(stack);
             self.apply_commands(sender, &mut commands);
         }
-        if pooled {
-            commands.clear();
-            self.cmd_pool.push(commands);
-        }
+        self.cmd_pool.push(commands);
         receivers.clear();
         self.recv_pool.push(receivers);
     }
@@ -1093,16 +870,8 @@ impl World {
     fn deliver_foreign(&mut self, f: ForeignFrame) {
         self.stats.border_rx_injected += 1;
         let mut candidates = std::mem::take(&mut self.candidate_buf);
-        match self.cfg.exec.delivery {
-            DeliveryMode::Grid => {
-                self.grid
-                    .candidates_into(f.src_pos, self.cfg.range, &mut candidates)
-            }
-            DeliveryMode::BruteForce => {
-                candidates.clear();
-                candidates.extend((0..self.nodes.len() as u32).map(NodeId));
-            }
-        }
+        self.grid
+            .candidates_into(f.src_pos, self.cfg.range, &mut candidates);
         let mut deliveries: Vec<NodeId> = self.recv_pool.pop().unwrap_or_default();
         for &receiver in &candidates {
             let j = receiver.0 as usize;
@@ -1263,21 +1032,13 @@ impl World {
 
         // Work out per-receiver outcomes before dispatching any callbacks so
         // that reactions to this frame cannot affect its own delivery. The
-        // grid returns a sorted candidate superset, so the per-receiver
-        // checks — and therefore the loss draws from the shared RNG — run
-        // in the same node order as the brute-force scan.
+        // grid returns a candidate superset sorted by node id, so the
+        // per-receiver checks — and therefore the loss draws from the shared
+        // RNG — run in ascending node order.
         let payload_len = self.active_tx[tx_idx].payload.len() as u64;
         let mut candidates = std::mem::take(&mut self.candidate_buf);
-        match self.cfg.exec.delivery {
-            DeliveryMode::Grid => {
-                self.grid
-                    .candidates_into(sender_pos, self.cfg.range, &mut candidates)
-            }
-            DeliveryMode::BruteForce => {
-                candidates.clear();
-                candidates.extend((0..self.nodes.len() as u32).map(NodeId));
-            }
-        }
+        self.grid
+            .candidates_into(sender_pos, self.cfg.range, &mut candidates);
         let mut deliveries: Vec<NodeId> = self.recv_pool.pop().unwrap_or_default();
         // The time-overlap half of the interference test is per-transmission,
         // not per-receiver: filter the history down to the transmissions that
@@ -1371,46 +1132,18 @@ impl World {
         }
 
         // Outcomes (and therefore the loss draws) are already settled above;
-        // what remains is handing the frame to each receiver's stack. Both
-        // event granularities dispatch the exact same callback sequence —
-        // receivers ascending, then the sender's outcome — so the toggle is
-        // invisible to protocol traces.
-        match self.cfg.exec.delivery_events {
-            DeliveryEvents::Batched => {
-                self.stats.arrival_events += 1;
-                self.push_event(
-                    self.now,
-                    EventKind::DeliverBatch(Box::new(DeliveryBatch {
-                        frame,
-                        receivers: deliveries,
-                        sender,
-                        outcome,
-                    })),
-                );
-            }
-            DeliveryEvents::PerReceiver => {
-                let shared = std::sync::Arc::new(frame);
-                for &receiver in &deliveries {
-                    self.stats.arrival_events += 1;
-                    self.push_event(
-                        self.now,
-                        EventKind::Deliver {
-                            receiver,
-                            frame: std::sync::Arc::clone(&shared),
-                        },
-                    );
-                }
-                self.push_event(
-                    self.now,
-                    EventKind::TxDone {
-                        node: sender,
-                        outcome,
-                    },
-                );
-                deliveries.clear();
-                self.recv_pool.push(deliveries);
-            }
-        }
+        // what remains is handing the frame to each receiver's stack, in one
+        // arrival event for the whole transmission.
+        self.stats.arrival_events += 1;
+        self.push_event(
+            self.now,
+            EventKind::DeliverBatch(Box::new(DeliveryBatch {
+                frame,
+                receivers: deliveries,
+                sender,
+                outcome,
+            })),
+        );
 
         // Keep finished transmissions for interference history exactly as
         // long as they can still matter. A finished transmission A affects
@@ -1780,32 +1513,9 @@ mod tests {
 
     /// Runs a mixed stationary/mobile chatter world and returns its trace
     /// fingerprint.
-    fn chatter_trace(delivery: DeliveryMode, seed: u64) -> (u64, u64, u64, u64, u64) {
-        chatter_trace_with(delivery, QueueMode::default(), seed)
-    }
-
-    fn chatter_trace_with(
-        delivery: DeliveryMode,
-        queue: QueueMode,
-        seed: u64,
-    ) -> (u64, u64, u64, u64, u64) {
-        chatter_trace_full(delivery, queue, DeliveryEvents::default(), seed)
-    }
-
-    fn chatter_trace_full(
-        delivery: DeliveryMode,
-        queue: QueueMode,
-        delivery_events: DeliveryEvents,
-        seed: u64,
-    ) -> (u64, u64, u64, u64, u64) {
+    fn chatter_trace(seed: u64) -> (u64, u64, u64, u64, u64) {
         let mut w = World::new(WorldConfig {
             seed,
-            exec: ExecProfile {
-                delivery,
-                queue,
-                delivery_events,
-                ..ExecProfile::default()
-            },
             ..WorldConfig::default()
         });
         for i in 0..12 {
@@ -1836,118 +1546,56 @@ mod tests {
             (99, (240, 524, 64, 252, 52400)),
         ] {
             assert_eq!(
-                chatter_trace(DeliveryMode::Grid, seed),
+                chatter_trace(seed),
                 expected,
                 "chatter trace moved for seed {seed}"
             );
         }
     }
 
-    #[test]
-    fn grid_and_brute_force_delivery_traces_are_identical() {
-        for seed in [1, 7, 99] {
-            assert_eq!(
-                chatter_trace(DeliveryMode::Grid, seed),
-                chatter_trace(DeliveryMode::BruteForce, seed),
-                "delivery modes diverged for seed {seed}"
-            );
-        }
-    }
-
-    #[test]
-    fn wheel_and_heap_queue_traces_are_identical() {
-        for seed in [1, 7, 99] {
-            assert_eq!(
-                chatter_trace_with(DeliveryMode::Grid, QueueMode::Wheel, seed),
-                chatter_trace_with(DeliveryMode::Grid, QueueMode::Heap, seed),
-                "queue modes diverged for seed {seed}"
-            );
-        }
-    }
-
-    #[test]
-    fn batched_and_per_receiver_delivery_traces_are_identical() {
-        for seed in [1, 7, 99] {
-            for queue in [QueueMode::Wheel, QueueMode::Heap] {
-                assert_eq!(
-                    chatter_trace_full(DeliveryMode::Grid, queue, DeliveryEvents::Batched, seed),
-                    chatter_trace_full(
-                        DeliveryMode::Grid,
-                        queue,
-                        DeliveryEvents::PerReceiver,
-                        seed
-                    ),
-                    "delivery-event modes diverged for seed {seed} under {queue:?}"
-                );
-            }
-        }
-    }
-
-    /// The tentpole invariant: batched mode schedules exactly one arrival
-    /// event per transmission, regardless of how many receivers it reaches;
-    /// the per-receiver baseline schedules one per successful delivery.
+    /// One transmission schedules exactly one arrival event, regardless of
+    /// how many receivers it reaches.
     #[test]
     fn batched_mode_enqueues_one_arrival_event_per_transmission() {
-        let run = |delivery_events: DeliveryEvents| {
-            let mut cfg = lossless();
-            cfg.exec.delivery_events = delivery_events;
-            let mut w = World::new(cfg);
-            w.add_node(
-                Box::new(Stationary::new(Point::new(0.0, 0.0))),
-                Box::new(Chatter::new(5, 10)),
-            );
-            for i in 0..4 {
-                w.add_node(
-                    Box::new(Stationary::new(Point::new(10.0 + i as f64, 0.0))),
-                    Box::new(Chatter::new(0, 0)),
-                );
-            }
-            w.run_until(SimTime::from_secs(1));
-            (
-                w.stats().tx_frames,
-                w.stats().delivered,
-                w.stats().arrival_events,
-            )
-        };
-        let (tx, delivered, arrivals) = run(DeliveryEvents::Batched);
-        assert_eq!(tx, 5);
-        assert_eq!(delivered, 20, "4 receivers x 5 beacons");
-        assert_eq!(arrivals, tx, "batched: one arrival event per transmission");
-        let (tx, delivered, arrivals) = run(DeliveryEvents::PerReceiver);
-        assert_eq!(
-            arrivals, delivered,
-            "per-receiver: one arrival event per delivery"
+        let mut w = World::new(lossless());
+        w.add_node(
+            Box::new(Stationary::new(Point::new(0.0, 0.0))),
+            Box::new(Chatter::new(5, 10)),
         );
-        assert_eq!(tx, 5);
+        for i in 0..4 {
+            w.add_node(
+                Box::new(Stationary::new(Point::new(10.0 + i as f64, 0.0))),
+                Box::new(Chatter::new(0, 0)),
+            );
+        }
+        w.run_until(SimTime::from_secs(1));
+        let s = w.stats();
+        assert_eq!(s.tx_frames, 5);
+        assert_eq!(s.delivered, 20, "4 receivers x 5 beacons");
+        assert_eq!(s.arrival_events, 5, "one arrival event per transmission");
     }
 
     #[test]
     fn batched_delivery_claims_one_command_buffer_per_transmission() {
-        // One transmission reaching 4 receivers: the batch claims the pooled
-        // buffer once; per-receiver mode claims it once per callback.
-        let run = |delivery_events: DeliveryEvents| {
-            let mut cfg = lossless();
-            cfg.exec.delivery_events = delivery_events;
-            let mut w = World::new(cfg);
+        // One transmission reaching 4 receivers: five `on_start`s, the
+        // sender's beacon timer, and one claim for the whole delivery batch
+        // (four `on_frame`s plus the sender's `on_tx_done`).
+        let mut w = World::new(lossless());
+        w.add_node(
+            Box::new(Stationary::new(Point::new(0.0, 0.0))),
+            Box::new(Chatter::new(1, 10)),
+        );
+        for i in 0..4 {
             w.add_node(
-                Box::new(Stationary::new(Point::new(0.0, 0.0))),
-                Box::new(Chatter::new(1, 10)),
+                Box::new(Stationary::new(Point::new(10.0 + i as f64, 0.0))),
+                Box::new(Chatter::new(0, 0)),
             );
-            for i in 0..4 {
-                w.add_node(
-                    Box::new(Stationary::new(Point::new(10.0 + i as f64, 0.0))),
-                    Box::new(Chatter::new(0, 0)),
-                );
-            }
-            w.run_until(SimTime::from_secs(1));
-            w.stats().cmd_pool_hits + w.stats().cmd_pool_misses
-        };
-        let batched = run(DeliveryEvents::Batched);
-        let per_receiver = run(DeliveryEvents::PerReceiver);
-        assert!(
-            batched + 4 <= per_receiver,
-            "batched {batched} claims must undercut per-receiver {per_receiver} \
-             by at least the receiver count"
+        }
+        w.run_until(SimTime::from_secs(1));
+        assert_eq!(w.stats().delivered, 4);
+        assert_eq!(
+            w.stats().cmd_pool_hits + w.stats().cmd_pool_misses,
+            5 + 1 + 1
         );
     }
 
@@ -1962,21 +1610,6 @@ mod tests {
         let s = w.stats();
         assert_eq!(s.cmd_pool_misses, 1, "callbacks never nest: one buffer");
         assert!(s.cmd_pool_hits > 0);
-    }
-
-    #[test]
-    fn heap_mode_disables_the_command_pool() {
-        let mut cfg = lossless();
-        cfg.exec.queue = QueueMode::Heap;
-        let mut w = World::new(cfg);
-        w.add_node(
-            Box::new(Stationary::new(Point::new(0.0, 0.0))),
-            Box::new(Chatter::new(10, 10)),
-        );
-        w.run_until(SimTime::from_secs(1));
-        let s = w.stats();
-        assert_eq!(s.cmd_pool_hits, 0);
-        assert!(s.cmd_pool_misses > 1, "legacy model allocates per callback");
     }
 
     /// Regression for the `cancelled_timers` leak: a stack that arms and
@@ -2017,27 +1650,32 @@ mod tests {
                 self
             }
         }
-        for queue in [QueueMode::Wheel, QueueMode::Heap] {
-            let mut cfg = lossless();
-            cfg.exec.queue = queue;
-            let mut w = World::new(cfg);
-            let a = w.add_node(
-                Box::new(Stationary::new(Point::new(0.0, 0.0))),
-                Box::new(Churner::default()),
-            );
-            w.run_until(SimTime::from_secs(10));
-            assert_eq!(w.stack::<Churner>(a).expect("stack").rounds, 2_000);
-            assert_eq!(
-                w.live_timers(),
-                0,
-                "{queue:?}: every armed timer's slot must be freed by run end"
-            );
-            assert!(
-                w.timer_slots_allocated() <= 4,
-                "{queue:?}: slot allocation {} exceeds peak concurrency",
-                w.timer_slots_allocated()
-            );
-        }
+        let mut w = World::new(lossless());
+        let a = w.add_node(
+            Box::new(Stationary::new(Point::new(0.0, 0.0))),
+            Box::new(Churner::default()),
+        );
+        w.run_until(SimTime::from_secs(10));
+        assert_eq!(w.stack::<Churner>(a).expect("stack").rounds, 2_000);
+        assert_eq!(
+            w.live_timers(),
+            0,
+            "every armed timer's slot must be freed by run end"
+        );
+        assert!(
+            w.timer_slots_allocated() <= 4,
+            "slot allocation {} exceeds peak concurrency",
+            w.timer_slots_allocated()
+        );
+    }
+
+    /// The O(N) neighbor scan the grid is checked against.
+    fn neighbors_of_brute(w: &World, node: NodeId) -> Vec<NodeId> {
+        let p = w.position_of(node);
+        (0..w.node_count() as u32)
+            .map(NodeId)
+            .filter(|&other| other != node && w.position_of(other).within(&p, w.range()))
+            .collect()
     }
 
     #[test]
@@ -2056,7 +1694,7 @@ mod tests {
                 let n = NodeId(i);
                 assert_eq!(
                     w.neighbors_of(n),
-                    w.neighbors_of_brute(n),
+                    neighbors_of_brute(&w, n),
                     "node {n} at t={}s",
                     step * 3
                 );
@@ -2179,30 +1817,26 @@ mod tests {
                 self
             }
         }
-        for queue in [QueueMode::Wheel, QueueMode::Heap] {
-            let mut cfg = lossless();
-            cfg.exec.queue = queue;
-            let mut w = World::new(cfg);
-            let a = w.add_node(Box::new(Stationary::new(Point::new(0.0, 0.0))), {
-                Box::new(Armer) as Box<dyn NetStack>
-            });
-            w.set_fault_plan(FaultPlan::new().crash_at(SimTime::from_micros(150_000), a));
-            w.run_until(SimTime::from_secs(2));
-            assert_eq!(w.stats().node_crashes, 1);
-            assert_eq!(
-                w.stats().tx_frames,
-                1,
-                "{queue:?}: only the pre-crash timer's frame may air"
-            );
-            // Four timers (200..500 ms) plus the 250 ms delayed send pop
-            // after the crash: all suppressed, none lost.
-            assert_eq!(w.stats().stale_events_suppressed, 5, "{queue:?}");
-            assert_eq!(
-                w.live_timers(),
-                0,
-                "{queue:?}: suppressed timers must still free their slab slots"
-            );
-        }
+        let mut w = World::new(lossless());
+        let a = w.add_node(Box::new(Stationary::new(Point::new(0.0, 0.0))), {
+            Box::new(Armer) as Box<dyn NetStack>
+        });
+        w.set_fault_plan(FaultPlan::new().crash_at(SimTime::from_micros(150_000), a));
+        w.run_until(SimTime::from_secs(2));
+        assert_eq!(w.stats().node_crashes, 1);
+        assert_eq!(
+            w.stats().tx_frames,
+            1,
+            "only the pre-crash timer's frame may air"
+        );
+        // Four timers (200..500 ms) plus the 250 ms delayed send pop after
+        // the crash: all suppressed, none lost.
+        assert_eq!(w.stats().stale_events_suppressed, 5);
+        assert_eq!(
+            w.live_timers(),
+            0,
+            "suppressed timers must still free their slab slots"
+        );
     }
 
     #[test]
@@ -2321,20 +1955,9 @@ mod tests {
     /// Chatter fingerprint with a full fault plan applied: crash+restart,
     /// late join, permanent leave, and a group partition — the determinism
     /// contract must hold with faults exactly as it does without.
-    fn chatter_fault_trace(
-        delivery: DeliveryMode,
-        queue: QueueMode,
-        delivery_events: DeliveryEvents,
-        seed: u64,
-    ) -> (u64, u64, u64, u64, u64, u64, u64) {
+    fn chatter_fault_trace(seed: u64) -> (u64, u64, u64, u64, u64, u64, u64) {
         let mut w = World::new(WorldConfig {
             seed,
-            exec: ExecProfile {
-                delivery,
-                queue,
-                delivery_events,
-                ..ExecProfile::default()
-            },
             ..WorldConfig::default()
         });
         for i in 0..12 {
@@ -2385,74 +2008,9 @@ mod tests {
             (99, (260, 532, 66, 222, 53200, 40, 0)),
         ] {
             assert_eq!(
-                chatter_fault_trace(
-                    DeliveryMode::Grid,
-                    QueueMode::Wheel,
-                    DeliveryEvents::default(),
-                    seed
-                ),
+                chatter_fault_trace(seed),
                 expected,
                 "fault-plan trace moved for seed {seed}"
-            );
-        }
-    }
-
-    #[test]
-    fn fault_traces_identical_across_queue_modes() {
-        for seed in [1, 7, 99] {
-            assert_eq!(
-                chatter_fault_trace(
-                    DeliveryMode::Grid,
-                    QueueMode::Wheel,
-                    DeliveryEvents::default(),
-                    seed
-                ),
-                chatter_fault_trace(
-                    DeliveryMode::Grid,
-                    QueueMode::Heap,
-                    DeliveryEvents::default(),
-                    seed
-                ),
-                "fault-plan queue modes diverged for seed {seed}"
-            );
-        }
-    }
-
-    #[test]
-    fn fault_traces_identical_across_delivery_event_modes() {
-        for seed in [1, 7] {
-            for queue in [QueueMode::Wheel, QueueMode::Heap] {
-                assert_eq!(
-                    chatter_fault_trace(DeliveryMode::Grid, queue, DeliveryEvents::Batched, seed),
-                    chatter_fault_trace(
-                        DeliveryMode::Grid,
-                        queue,
-                        DeliveryEvents::PerReceiver,
-                        seed
-                    ),
-                    "fault-plan delivery-event modes diverged for seed {seed} under {queue:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn fault_traces_identical_across_delivery_modes() {
-        for seed in [1, 7] {
-            assert_eq!(
-                chatter_fault_trace(
-                    DeliveryMode::Grid,
-                    QueueMode::Wheel,
-                    DeliveryEvents::default(),
-                    seed
-                ),
-                chatter_fault_trace(
-                    DeliveryMode::BruteForce,
-                    QueueMode::Wheel,
-                    DeliveryEvents::default(),
-                    seed
-                ),
-                "fault-plan delivery modes diverged for seed {seed}"
             );
         }
     }

@@ -661,18 +661,68 @@ mod cs_properties {
 }
 
 mod sched_properties {
-    //! Scheduler-refactor properties: the timer wheel must pop the exact
-    //! `(time, seq)` sequence a min-heap pops, the world's two queue modes
-    //! must fire the same timers in the same order under random arm/cancel
-    //! interleavings, and the name-first header peek must agree with the
-    //! full decode.
+    //! Scheduler properties: the timer wheel must pop the exact
+    //! `(time, seq)` sequence a min-heap pops, the world must fire timers
+    //! in the order a binary-heap reference scheduler fires them under
+    //! random arm/cancel interleavings, a batched delivery must run its
+    //! fan-out in receiver order, and the name-first header peek must agree
+    //! with the full decode.
 
     use dapes_netsim::payload::Payload;
     use dapes_netsim::prelude::*;
     use dapes_netsim::wheel::{TimerWheel, WheelEntry};
     use proptest::prelude::*;
     use std::any::Any;
-    use std::collections::BinaryHeap;
+    use std::cmp::Reverse;
+    use std::collections::{BTreeSet, BinaryHeap};
+    use std::sync::{Arc, Mutex};
+
+    /// The fires a binary-heap scheduler makes for the scripted stack
+    /// below: timers pop in `(time, arming order)` order, cancelled ones
+    /// are skipped, and each fire runs the next script step.
+    fn reference_fires(script: &[(u8, u64)], until_us: u64) -> Vec<(u64, u64)> {
+        // (time, arming seq, token); the arming seq doubles as the handle.
+        let mut heap: BinaryHeap<Reverse<(u64, u64, u64)>> = BinaryHeap::new();
+        let mut cancelled = BTreeSet::new();
+        let mut armed = Vec::new();
+        let mut seq = 0u64;
+        let mut arm = |heap: &mut BinaryHeap<_>, at: u64, token: u64| {
+            seq += 1;
+            heap.push(Reverse((at, seq, token)));
+            seq
+        };
+        arm(&mut heap, 1, 0);
+        let mut fired = Vec::new();
+        let mut step = 0usize;
+        while let Some(Reverse((now, id, token))) = heap.pop() {
+            if now > until_us {
+                break;
+            }
+            if cancelled.contains(&id) {
+                continue;
+            }
+            fired.push((now, token));
+            let Some(&(op, delay)) = script.get(step) else {
+                continue;
+            };
+            step += 1;
+            match op {
+                0 => armed.push(arm(&mut heap, now + delay, step as u64)),
+                1 => {
+                    let h = arm(&mut heap, now + delay, step as u64);
+                    cancelled.insert(h);
+                }
+                2 => {
+                    if let Some(h) = armed.pop() {
+                        cancelled.insert(h);
+                    }
+                }
+                _ => {}
+            }
+            arm(&mut heap, now + 7, 0);
+        }
+        fired
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
@@ -708,13 +758,14 @@ mod sched_properties {
         }
 
         #[test]
-        fn queue_modes_fire_identical_timer_sequences_under_cancel_churn(
+        fn world_fires_timers_in_heap_reference_order_under_churn(
             script in proptest::collection::vec(
                 (0u8..4, 1u64..5_000), 4..120),
         ) {
             // A stack that replays `script` — each fired step arms, arms-
             // then-cancels, cancels an older timer, or idles — and records
-            // every fire. Both queue modes must record the same sequence.
+            // every fire. The world must record exactly the binary-heap
+            // reference's sequence.
             #[derive(Debug)]
             struct Scripted {
                 script: Vec<(u8, u64)>,
@@ -753,124 +804,116 @@ mod sched_properties {
                 fn as_any(&self) -> &dyn Any { self }
                 fn as_any_mut(&mut self) -> &mut dyn Any { self }
             }
-            let run = |queue: QueueMode| {
-                let mut w = World::new(WorldConfig {
-                    exec: ExecProfile::default().with_queue(queue),
-                    ..WorldConfig::default()
-                });
-                let a = w.add_node(
-                    Box::new(Stationary::new(Point::new(0.0, 0.0))),
-                    Box::new(Scripted {
-                        script: script.clone(),
-                        step: 0,
-                        armed: Vec::new(),
-                        fired: Vec::new(),
-                    }),
-                );
-                w.run_until(SimTime::from_secs(600));
-                (
-                    w.stack::<Scripted>(a).unwrap().fired.clone(),
-                    w.live_timers(),
-                )
-            };
-            let (wheel_fired, wheel_live) = run(QueueMode::Wheel);
-            let (heap_fired, heap_live) = run(QueueMode::Heap);
-            prop_assert_eq!(&wheel_fired, &heap_fired);
-            prop_assert!(!wheel_fired.is_empty());
+            let mut w = World::new(WorldConfig::default());
+            let a = w.add_node(
+                Box::new(Stationary::new(Point::new(0.0, 0.0))),
+                Box::new(Scripted {
+                    script: script.clone(),
+                    step: 0,
+                    armed: Vec::new(),
+                    fired: Vec::new(),
+                }),
+            );
+            let until = SimTime::from_secs(600);
+            w.run_until(until);
+            let fired = &w.stack::<Scripted>(a).unwrap().fired;
+            prop_assert!(!fired.is_empty());
+            prop_assert_eq!(fired, &reference_fires(&script, until.as_micros()));
             // No-leak property: once every event has popped, no slot stays
-            // claimed, in either mode.
-            prop_assert_eq!(wheel_live, 0);
-            prop_assert_eq!(heap_live, 0);
+            // claimed.
+            prop_assert_eq!(w.live_timers(), 0);
         }
 
         #[test]
-        fn delivery_event_modes_fire_identical_sequences_under_random_swarms(
+        fn batched_fan_out_runs_in_receiver_order_under_random_swarms(
             placements in proptest::collection::vec(
                 (0.0f64..300.0, 0.0f64..300.0, 1u32..6, 5u64..40), 2..10),
             seed in any::<u64>(),
             loss in 0u32..4,
         ) {
-            // A beaconing swarm with channel loss: every RNG draw (loss,
-            // backoff, jitter) and every callback must land identically
-            // whether deliveries ride one batched arrival event per
-            // transmission or one event per receiver.
-            #[derive(Debug, Default)]
+            // A beaconing swarm with channel loss. One arrival event carries
+            // a whole transmission, and its dispatch must run the classic
+            // per-receiver event order: every surviving receiver's
+            // `on_frame` back to back in ascending node order, then the
+            // sender's `on_tx_done` — so RNG draws and callbacks land as if
+            // each receiver had its own event.
+            #[derive(Clone, Copy, Debug, PartialEq)]
+            enum Call {
+                Frame { seq: u64, rx: NodeId },
+                TxDone { node: NodeId },
+            }
+            #[derive(Debug)]
             struct Beacon {
+                id: NodeId,
                 beacons: u32,
                 interval_ms: u64,
-                heard: Vec<(u64, NodeId, u64)>,
-                fired: Vec<u64>,
-                outcomes: Vec<(u64, bool)>,
+                log: Arc<Mutex<Vec<Call>>>,
             }
             impl NetStack for Beacon {
                 fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
-                    if self.beacons > 0 {
-                        ctx.set_timer(SimDuration::from_millis(self.interval_ms), 1);
-                    }
+                    ctx.set_timer(SimDuration::from_millis(self.interval_ms), 1);
                 }
-                fn on_frame(&mut self, ctx: &mut NodeCtx<'_>, frame: &Frame) {
-                    self.heard.push((frame.seq, frame.src, ctx.now.as_micros()));
+                fn on_frame(&mut self, _: &mut NodeCtx<'_>, frame: &Frame) {
+                    let call = Call::Frame { seq: frame.seq, rx: self.id };
+                    self.log.lock().unwrap().push(call);
                 }
                 fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, token: u64) {
-                    self.fired.push(ctx.now.as_micros());
                     ctx.send_frame(vec![0x5A; 64], FrameKind(9), token, SimDuration::ZERO);
                     self.beacons -= 1;
                     if self.beacons > 0 {
                         ctx.set_timer(SimDuration::from_millis(self.interval_ms), 1);
                     }
                 }
-                fn on_tx_done(&mut self, ctx: &mut NodeCtx<'_>, outcome: TxOutcome) {
-                    self.outcomes.push((ctx.now.as_micros(), outcome.collided));
+                fn on_tx_done(&mut self, _: &mut NodeCtx<'_>, _: TxOutcome) {
+                    self.log.lock().unwrap().push(Call::TxDone { node: self.id });
                 }
                 fn as_any(&self) -> &dyn Any { self }
                 fn as_any_mut(&mut self) -> &mut dyn Any { self }
             }
-            let run = |delivery_events: DeliveryEvents| {
-                let mut cfg = WorldConfig {
-                    seed,
-                    exec: ExecProfile::default().with_delivery_events(delivery_events),
-                    ..WorldConfig::default()
-                };
-                cfg.phy.loss_rate = loss as f64 * 0.1;
-                let mut w = World::new(cfg);
-                let ids: Vec<NodeId> = placements
-                    .iter()
-                    .map(|&(x, y, beacons, interval_ms)| {
-                        w.add_node(
-                            Box::new(Stationary::new(Point::new(x, y))),
-                            Box::new(Beacon {
-                                beacons,
-                                interval_ms,
-                                ..Beacon::default()
-                            }),
-                        )
-                    })
-                    .collect();
-                w.run_until(SimTime::from_secs(5));
-                let per_node: Vec<_> = ids
-                    .iter()
-                    .map(|&id| {
-                        let b = w.stack::<Beacon>(id).unwrap();
-                        (b.heard.clone(), b.fired.clone(), b.outcomes.clone())
-                    })
-                    .collect();
-                let s = w.stats();
-                (
-                    per_node,
-                    (
-                        s.tx_frames,
-                        s.delivered,
-                        s.channel_losses,
-                        s.collision_drops,
-                        s.mac_deferrals,
-                        s.api_calls,
-                    ),
-                )
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let mut cfg = WorldConfig {
+                seed,
+                ..WorldConfig::default()
             };
-            let (batched_nodes, batched_stats) = run(DeliveryEvents::Batched);
-            let (perrecv_nodes, perrecv_stats) = run(DeliveryEvents::PerReceiver);
-            prop_assert_eq!(batched_stats, perrecv_stats);
-            prop_assert_eq!(batched_nodes, perrecv_nodes);
+            cfg.phy.loss_rate = loss as f64 * 0.1;
+            let mut w = World::new(cfg);
+            for (i, &(x, y, beacons, interval_ms)) in placements.iter().enumerate() {
+                w.add_node(
+                    Box::new(Stationary::new(Point::new(x, y))),
+                    Box::new(Beacon {
+                        id: NodeId(i as u32),
+                        beacons,
+                        interval_ms,
+                        log: Arc::clone(&log),
+                    }),
+                );
+            }
+            w.run_until(SimTime::from_secs(5));
+            let s = w.stats();
+            prop_assert_eq!(s.arrival_events, s.tx_frames, "one arrival event per transmission");
+            let log = log.lock().unwrap();
+            let mut frames = 0u64;
+            let mut fan_out: Vec<(u64, NodeId)> = Vec::new();
+            for call in log.iter() {
+                match *call {
+                    Call::Frame { seq, rx } => {
+                        if let Some(&(prev_seq, prev_rx)) = fan_out.last() {
+                            prop_assert_eq!(seq, prev_seq, "fan-outs must not interleave");
+                            prop_assert!(rx > prev_rx, "receivers must run in ascending order");
+                        }
+                        fan_out.push((seq, rx));
+                    }
+                    Call::TxDone { .. } => {
+                        // The sender's outcome closes its transmission's
+                        // fan-out (which may have reached nobody).
+                        frames += 1;
+                        fan_out.clear();
+                    }
+                }
+            }
+            prop_assert!(fan_out.is_empty(), "every fan-out ends with its sender's outcome");
+            prop_assert_eq!(frames, s.tx_frames);
+            prop_assert_eq!(log.len() as u64, s.tx_frames + s.delivered);
         }
 
         #[test]
@@ -922,7 +965,7 @@ mod fault_properties {
     //! Fault-injection properties: a crash/restart at a *random* simulated
     //! time during a transfer — before, during or after the download is
     //! active — must still end in 100 % completion, and the whole faulted
-    //! run must stay bit-identical across the two event-queue backends.
+    //! run must replay bit-identically from its seed.
 
     use dapes_netsim::prelude::*;
     use dapes_testutil::prelude::*;
@@ -934,10 +977,8 @@ mod fault_properties {
         dist: f64,
         crash_us: u64,
         restart_us: u64,
-        queue: QueueMode,
     ) -> (bool, u64, u64, Vec<Option<SimTime>>) {
         let mut sc = ScenarioBuilder::new(seed)
-            .exec(ExecProfile::default().with_queue(queue))
             .collection(2, 16 * 1024)
             .producer_at(0.0, 0.0)
             .downloader_at(dist, 0.0)
@@ -962,20 +1003,20 @@ mod fault_properties {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
         #[test]
-        fn crash_restart_completes_and_is_queue_mode_invariant(
+        fn crash_restart_completes_and_replays_identically(
             seed in 0u64..1000,
             dist in 10.0f64..40.0,
             crash_us in 200_000u64..2_500_000,
             gap_us in 500_000u64..5_000_000,
         ) {
             let restart_us = crash_us + gap_us;
-            let wheel = faulted_run(seed, dist, crash_us, restart_us, QueueMode::Wheel);
+            let first = faulted_run(seed, dist, crash_us, restart_us);
             prop_assert!(
-                wheel.0,
+                first.0,
                 "every downloader must complete after the restart (seed {seed})"
             );
-            let heap = faulted_run(seed, dist, crash_us, restart_us, QueueMode::Heap);
-            prop_assert_eq!(&wheel, &heap, "queue modes diverged under faults");
+            let again = faulted_run(seed, dist, crash_us, restart_us);
+            prop_assert_eq!(&first, &again, "same seed, different faulted run");
         }
     }
 }

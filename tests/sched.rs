@@ -1,216 +1,27 @@
-//! Scheduler-refactor equivalence suite.
-//!
-//! The timer wheel, the generation-tagged timer slab, the pooled command
-//! buffers, and the name-first lazy decode path must all be *invisible* to
-//! protocol behaviour: full DAPES scenario runs give bit-identical traces
-//! (and independently satisfy the golden metrics) under every combination
-//! of event-queue implementation and decode regime.
+//! Scheduler suite: one arrival event per transmission, no timer-slab
+//! leak, and the header fast path (peek resolution and decode-free relay)
+//! actually exercised by full DAPES scenarios. (Full-run traces are pinned
+//! literally in `tests/traces.rs`.)
 
 use dapes_netsim::prelude::*;
 use dapes_testutil::prelude::*;
 
-fn matrix_axes() -> (Vec<Topology>, Vec<u64>) {
-    (
-        vec![
-            Topology::AdjacentPair,
-            Topology::Chain { relays: 1 },
-            Topology::Star { downloaders: 3 },
-        ],
-        vec![1, 3],
-    )
-}
-
-fn trace_fingerprint(sc: &Scenario) -> (u64, u64, u64, u64, u64, Vec<Option<SimTime>>) {
-    let s = sc.world.stats();
-    (
-        s.tx_frames,
-        s.delivered,
-        s.channel_losses,
-        s.collision_drops,
-        s.delivered_payload_bytes,
-        sc.completion_times(),
-    )
-}
-
-fn run_cell(
-    topology: Topology,
-    seed: u64,
-    queue: QueueMode,
-    lazy_peek: bool,
-) -> (u64, u64, u64, u64, u64, Vec<Option<SimTime>>) {
-    run_cell_with(topology, seed, queue, DeliveryEvents::default(), lazy_peek)
-}
-
-fn run_cell_with(
-    topology: Topology,
-    seed: u64,
-    queue: QueueMode,
-    delivery_events: DeliveryEvents,
-    lazy_peek: bool,
-) -> (u64, u64, u64, u64, u64, Vec<Option<SimTime>>) {
-    run_cell_full(topology, seed, queue, delivery_events, lazy_peek, true)
-}
-
-fn run_cell_full(
-    topology: Topology,
-    seed: u64,
-    queue: QueueMode,
-    delivery_events: DeliveryEvents,
-    lazy_peek: bool,
-    relay_patch: bool,
-) -> (u64, u64, u64, u64, u64, Vec<Option<SimTime>>) {
-    let params = MatrixParams {
-        exec: ExecProfile::default()
-            .with_queue(queue)
-            .with_delivery_events(delivery_events)
-            .with_lazy_peek(lazy_peek)
-            .with_relay_patch(relay_patch),
-        ..MatrixParams::default()
-    };
-    let mut sc = topology.build(seed, &params);
-    sc.run_until_complete(topology.deadline());
-    assert_scenario(
-        &format!(
-            "{}/seed-{seed}/{queue:?}/{delivery_events:?}/lazy-{lazy_peek}/patch-{relay_patch}",
-            topology.label()
-        ),
-        &sc,
-        &GoldenMetrics::default(),
-    );
-    trace_fingerprint(&sc)
-}
-
-#[test]
-fn golden_traces_bit_identical_across_relay_patch_modes() {
-    // The decode-free relay path (copy-on-write hop-limit patch, no
-    // `Interest` ever constructed) must be invisible to the protocol.
-    let (topologies, seeds) = matrix_axes();
-    for &topology in &topologies {
-        for &seed in &seeds {
-            assert_eq!(
-                run_cell_full(
-                    topology,
-                    seed,
-                    QueueMode::Wheel,
-                    DeliveryEvents::Batched,
-                    true,
-                    true
-                ),
-                run_cell_full(
-                    topology,
-                    seed,
-                    QueueMode::Wheel,
-                    DeliveryEvents::Batched,
-                    true,
-                    false
-                ),
-                "[{}/seed-{seed}] relay patch changed the trace",
-                topology.label()
-            );
-        }
-    }
-}
-
-#[test]
-fn golden_traces_bit_identical_across_queue_modes() {
-    let (topologies, seeds) = matrix_axes();
-    for &topology in &topologies {
-        for &seed in &seeds {
-            assert_eq!(
-                run_cell(topology, seed, QueueMode::Wheel, true),
-                run_cell(topology, seed, QueueMode::Heap, true),
-                "[{}/seed-{seed}] queue modes diverged",
-                topology.label()
-            );
-        }
-    }
-}
-
-#[test]
-fn golden_traces_bit_identical_across_decode_regimes() {
-    let (topologies, seeds) = matrix_axes();
-    for &topology in &topologies {
-        for &seed in &seeds {
-            assert_eq!(
-                run_cell(topology, seed, QueueMode::Wheel, true),
-                run_cell(topology, seed, QueueMode::Wheel, false),
-                "[{}/seed-{seed}] lazy peek changed the trace",
-                topology.label()
-            );
-        }
-    }
-}
-
-#[test]
-fn golden_traces_bit_identical_across_delivery_event_modes() {
-    let (topologies, seeds) = matrix_axes();
-    for &topology in &topologies {
-        for &seed in &seeds {
-            assert_eq!(
-                run_cell_with(
-                    topology,
-                    seed,
-                    QueueMode::Wheel,
-                    DeliveryEvents::Batched,
-                    true
-                ),
-                run_cell_with(
-                    topology,
-                    seed,
-                    QueueMode::Wheel,
-                    DeliveryEvents::PerReceiver,
-                    true
-                ),
-                "[{}/seed-{seed}] delivery-event modes diverged",
-                topology.label()
-            );
-        }
-    }
-}
-
-#[test]
-fn legacy_corner_heap_and_eager_matches_the_optimized_stack() {
-    // The fully-legacy corner (heap queue + eager decode + one event per
-    // receiver) against the fully optimized one, over a mobility-rich cell
-    // that exercises timers, cancellations, retransmissions and overhearing
-    // together.
-    let topology = Topology::PartitionedFerry;
-    assert_eq!(
-        run_cell_with(topology, 1, QueueMode::Wheel, DeliveryEvents::Batched, true),
-        run_cell_with(
-            topology,
-            1,
-            QueueMode::Heap,
-            DeliveryEvents::PerReceiver,
-            false
-        ),
-        "optimized and legacy control planes diverged"
-    );
-}
-
-/// The tentpole regression: in batched mode one transmission enqueues
-/// exactly one arrival event, across a full DAPES scenario; the
-/// per-receiver baseline enqueues one per successful delivery.
+/// The tentpole regression: one transmission enqueues exactly one arrival
+/// event, across a full DAPES scenario.
 #[test]
 fn one_transmission_enqueues_one_arrival_event_in_batched_mode() {
     let topology = Topology::Star { downloaders: 3 };
-    let run = |delivery_events: DeliveryEvents| {
-        let params = MatrixParams {
-            exec: ExecProfile::default().with_delivery_events(delivery_events),
-            ..MatrixParams::default()
-        };
-        let mut sc = topology.build(1, &params);
-        sc.run_until_complete(topology.deadline());
-        let s = sc.world.stats();
-        (s.tx_frames, s.delivered, s.arrival_events)
-    };
-    let (tx, _, arrivals) = run(DeliveryEvents::Batched);
-    assert!(tx > 0);
-    assert_eq!(arrivals, tx, "batched: one arrival event per transmission");
-    let (_, delivered, arrivals) = run(DeliveryEvents::PerReceiver);
+    let mut sc = topology.build(1, &MatrixParams::default());
+    sc.run_until_complete(topology.deadline());
+    let s = sc.world.stats();
+    assert!(s.tx_frames > 0);
+    assert!(
+        s.delivered > s.tx_frames,
+        "star frames reach several receivers"
+    );
     assert_eq!(
-        arrivals, delivered,
-        "per-receiver: one arrival event per delivery"
+        s.arrival_events, s.tx_frames,
+        "one arrival event per transmission"
     );
 }
 
@@ -301,8 +112,8 @@ fn lazy_peek_actually_resolves_frames_without_decode() {
 #[test]
 fn chain_relays_take_the_decode_free_relay_path() {
     // A chain's pure forwarders see every downloader Interest as novel and
-    // routable, so with `relay_patch` on (the default) they must resolve by
-    // the decode-free relay path and actually transmit patched frames.
+    // routable, so they must resolve by the decode-free relay path and
+    // actually transmit patched frames.
     let params = MatrixParams::default();
     let topology = Topology::Chain { relays: 1 };
     let mut sc = topology.build(1, &params);
