@@ -73,18 +73,13 @@ impl HotpathParams {
     /// The pinned trace of the named presets ([`dense`](Self::dense),
     /// [`smoke`](Self::smoke)); `None` for any other parameters.
     pub fn pinned_trace(&self) -> Option<Trace> {
-        let (events, tx_frames, delivered) = if *self == HotpathParams::dense() {
-            DENSE_PIN
+        if *self == HotpathParams::dense() {
+            Some(DENSE_PIN)
         } else if *self == HotpathParams::smoke() {
-            SMOKE_PIN
+            Some(SMOKE_PIN)
         } else {
-            return None;
-        };
-        Some(Trace {
-            events,
-            tx_frames,
-            delivered,
-        })
+            None
+        }
     }
 
     fn sim_deadline(&self) -> SimTime {
@@ -93,10 +88,18 @@ impl HotpathParams {
     }
 }
 
-/// Pinned `(events, tx_frames, delivered)` of [`HotpathParams::dense`].
-const DENSE_PIN: (u64, u64, u64) = (154_348, 29_792, 182_719);
-/// Pinned `(events, tx_frames, delivered)` of [`HotpathParams::smoke`].
-const SMOKE_PIN: (u64, u64, u64) = (6_391, 1_386, 10_885);
+/// The pinned trace of [`HotpathParams::dense`].
+const DENSE_PIN: Trace = Trace {
+    events: 154_348,
+    tx_frames: 29_792,
+    delivered: 182_719,
+};
+/// The pinned trace of [`HotpathParams::smoke`].
+const SMOKE_PIN: Trace = Trace {
+    events: 6_391,
+    tx_frames: 1_386,
+    delivered: 10_885,
+};
 
 const KIND_BEACON: FrameKind = FrameKind(40);
 const KIND_RELAY: FrameKind = FrameKind(41);

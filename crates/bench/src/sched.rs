@@ -43,10 +43,18 @@ const KIND_NOISE: FrameKind = FrameKind(52);
 /// Frame kind for CanBePrefix probe Interests.
 const KIND_PROBE: FrameKind = FrameKind(53);
 
-/// Pinned `(events, tx_frames, delivered)` of [`SchedParams::dense`].
-const DENSE_PIN: (u64, u64, u64) = (4_068_945, 642_574, 7_610_668);
-/// Pinned `(events, tx_frames, delivered)` of [`SchedParams::smoke`].
-const SMOKE_PIN: (u64, u64, u64) = (617_547, 100_117, 1_230_485);
+/// The pinned trace of [`SchedParams::dense`].
+const DENSE_PIN: Trace = Trace {
+    events: 4_068_945,
+    tx_frames: 642_574,
+    delivered: 7_610_668,
+};
+/// The pinned trace of [`SchedParams::smoke`].
+const SMOKE_PIN: Trace = Trace {
+    events: 617_547,
+    tx_frames: 100_117,
+    delivered: 1_230_485,
+};
 
 const TOKEN_ADVERT: u64 = 1;
 const TOKEN_RETRY: u64 = 2;
@@ -126,18 +134,13 @@ impl SchedParams {
     /// ([`dense`](Self::dense), [`smoke`](Self::smoke)); `None` for any
     /// other parameters.
     pub fn pinned_trace(&self) -> Option<Trace> {
-        let (events, tx_frames, delivered) = if *self == SchedParams::dense() {
-            DENSE_PIN
+        if *self == SchedParams::dense() {
+            Some(DENSE_PIN)
         } else if *self == SchedParams::smoke() {
-            SMOKE_PIN
+            Some(SMOKE_PIN)
         } else {
-            return None;
-        };
-        Some(Trace {
-            events,
-            tx_frames,
-            delivered,
-        })
+            None
+        }
     }
 
     fn sim_deadline(&self) -> SimTime {
