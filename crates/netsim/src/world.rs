@@ -1181,15 +1181,41 @@ mod tests {
     use super::*;
     use crate::mobility::Stationary;
     use std::any::Any;
+    use std::sync::{Arc, Mutex};
+
+    /// One stack callback of a logged run.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Call {
+        Timer {
+            at: SimTime,
+        },
+        Frame {
+            at: SimTime,
+            seq: u64,
+            src: NodeId,
+            rx: NodeId,
+        },
+        TxDone {
+            at: SimTime,
+            node: NodeId,
+        },
+    }
+
+    /// Every callback of a logged run, in dispatch order.
+    type CallLog = Arc<Mutex<Vec<Call>>>;
 
     /// Test stack: broadcasts `n` beacons at fixed intervals and records
-    /// everything it hears.
+    /// everything it hears. Every timer must fire exactly at the instant it
+    /// was armed for; a stack built with [`Chatter::logged`] also appends
+    /// each callback to a shared log.
     #[derive(Debug, Default)]
     struct Chatter {
         beacons: u32,
         interval_ms: u64,
         heard: Vec<(u64, NodeId)>,
         outcomes: Vec<TxOutcome>,
+        due: Option<SimTime>,
+        log: Option<CallLog>,
     }
 
     impl Chatter {
@@ -1200,27 +1226,63 @@ mod tests {
                 ..Chatter::default()
             }
         }
+
+        fn logged(self, log: &CallLog) -> Self {
+            Chatter {
+                log: Some(Arc::clone(log)),
+                ..self
+            }
+        }
+
+        fn arm(&mut self, ctx: &mut NodeCtx<'_>) {
+            let delay = SimDuration::from_millis(self.interval_ms);
+            ctx.set_timer(delay, 1);
+            self.due = Some(ctx.now + delay);
+        }
+
+        fn record(&self, call: Call) {
+            if let Some(log) = &self.log {
+                log.lock().expect("call log").push(call);
+            }
+        }
     }
 
     impl NetStack for Chatter {
         fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
             if self.beacons > 0 {
-                ctx.set_timer(SimDuration::from_millis(self.interval_ms), 1);
+                self.arm(ctx);
             }
         }
-        fn on_frame(&mut self, _ctx: &mut NodeCtx<'_>, frame: &Frame) {
+        fn on_frame(&mut self, ctx: &mut NodeCtx<'_>, frame: &Frame) {
             self.heard.push((frame.seq, frame.src));
+            self.record(Call::Frame {
+                at: ctx.now,
+                seq: frame.seq,
+                src: frame.src,
+                rx: ctx.node,
+            });
         }
         fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, token: u64) {
             assert_eq!(token, 1);
+            assert_eq!(
+                Some(ctx.now),
+                self.due.take(),
+                "node {} fired off its armed instant",
+                ctx.node
+            );
+            self.record(Call::Timer { at: ctx.now });
             ctx.send_frame(vec![0xAB; 100], FrameKind(9), 0, SimDuration::ZERO);
             self.beacons -= 1;
             if self.beacons > 0 {
-                ctx.set_timer(SimDuration::from_millis(self.interval_ms), 1);
+                self.arm(ctx);
             }
         }
-        fn on_tx_done(&mut self, _ctx: &mut NodeCtx<'_>, outcome: TxOutcome) {
+        fn on_tx_done(&mut self, ctx: &mut NodeCtx<'_>, outcome: TxOutcome) {
             self.outcomes.push(outcome);
+            self.record(Call::TxDone {
+                at: ctx.now,
+                node: ctx.node,
+            });
         }
         fn as_any(&self) -> &dyn Any {
             self
@@ -1511,9 +1573,23 @@ mod tests {
         assert_eq!(w.stack::<Canceller>(a).expect("stack").fired, vec![2]);
     }
 
-    /// Runs a mixed stationary/mobile chatter world and returns its trace
-    /// fingerprint.
-    fn chatter_trace(seed: u64) -> (u64, u64, u64, u64, u64) {
+    /// `(tx_frames, delivered, channel_losses, collision_drops,
+    /// delivered_payload_bytes)` of a chatter run.
+    type ChatterTrace = (u64, u64, u64, u64, u64);
+
+    /// The default engine's chatter fingerprints, pinned literally. They are
+    /// the traces every deleted engine mode (binary-heap queue, O(N)
+    /// delivery scan, one delivery event per receiver) produced too.
+    const CHATTER_PINS: [(u64, ChatterTrace); 3] = [
+        (1, (240, 530, 58, 252, 53000)),
+        (7, (240, 519, 69, 252, 51900)),
+        (99, (240, 524, 64, 252, 52400)),
+    ];
+
+    /// The mixed stationary/mobile chatter world: twelve beaconing nodes,
+    /// the odd ones on random-direction walks, every callback appended to
+    /// `log`.
+    fn chatter_world(seed: u64, log: &CallLog) -> World {
         let mut w = World::new(WorldConfig {
             seed,
             ..WorldConfig::default()
@@ -1525,9 +1601,15 @@ mod tests {
             } else {
                 Box::new(crate::mobility::RandomDirection::new(p))
             };
-            w.add_node(mobility, Box::new(Chatter::new(20, 7 + i as u64)));
+            w.add_node(
+                mobility,
+                Box::new(Chatter::new(20, 7 + i as u64).logged(log)),
+            );
         }
-        w.run_until(SimTime::from_secs(30));
+        w
+    }
+
+    fn chatter_trace(w: &World) -> ChatterTrace {
         (
             w.stats().tx_frames,
             w.stats().delivered,
@@ -1537,18 +1619,132 @@ mod tests {
         )
     }
 
-    /// The default engine's chatter fingerprints, pinned literally.
     #[test]
     fn chatter_traces_are_pinned() {
-        for (seed, expected) in [
-            (1, (240, 530, 58, 252, 53000)),
-            (7, (240, 519, 69, 252, 51900)),
-            (99, (240, 524, 64, 252, 52400)),
-        ] {
+        for (seed, expected) in CHATTER_PINS {
+            let mut w = chatter_world(seed, &CallLog::default());
+            w.run_until(SimTime::from_secs(30));
             assert_eq!(
-                chatter_trace(seed),
+                chatter_trace(&w),
                 expected,
                 "chatter trace moved for seed {seed}"
+            );
+        }
+    }
+
+    /// Runs `w` to 30 s in 250 ms steps, checking at every step that the
+    /// grid answers each node's neighbor query exactly as the O(N) scan.
+    fn run_checking_grid(w: &mut World) {
+        for step in 1..=120u64 {
+            w.run_until(SimTime::from_micros(step * 250_000));
+            for i in 0..w.node_count() as u32 {
+                let n = NodeId(i);
+                assert_eq!(
+                    w.neighbors_of(n),
+                    neighbors_of_brute(w, n),
+                    "node {n} at t={}",
+                    w.now().as_secs_f64()
+                );
+            }
+        }
+    }
+
+    /// Runs `w` to 30 s and checks the order a binary-heap queue gives:
+    /// callbacks in non-decreasing time, one beacon per timer fire (that
+    /// each timer fires exactly at its armed instant, `Chatter` asserts).
+    fn run_checking_heap_order(w: &mut World, log: &CallLog) {
+        w.run_until(SimTime::from_secs(30));
+        let log = log.lock().expect("call log");
+        let at = |c: &Call| match *c {
+            Call::Timer { at } | Call::Frame { at, .. } | Call::TxDone { at, .. } => at,
+        };
+        assert!(
+            log.windows(2).all(|p| at(&p[0]) <= at(&p[1])),
+            "callbacks ran out of time order"
+        );
+        let fires = log
+            .iter()
+            .filter(|c| matches!(c, Call::Timer { .. }))
+            .count() as u64;
+        assert_eq!(fires, w.stats().tx_frames, "one beacon per timer fire");
+    }
+
+    /// Runs `w` to 30 s and checks the order one delivery event per
+    /// receiver gave: each transmission's receivers run back to back at one
+    /// instant in ascending node order, then the sender's `on_tx_done`.
+    fn run_checking_fan_out(w: &mut World, log: &CallLog) {
+        w.run_until(SimTime::from_secs(30));
+        let log = log.lock().expect("call log");
+        // (at, seq, src, last receiver) of the fan-out in progress.
+        let mut open: Option<(SimTime, u64, NodeId, NodeId)> = None;
+        let (mut txs, mut frames) = (0u64, 0u64);
+        for &call in log.iter() {
+            match call {
+                Call::Frame { at, seq, src, rx } => {
+                    if let Some((t0, s0, src0, prev)) = open {
+                        assert_eq!((at, seq, src), (t0, s0, src0), "fan-outs interleaved");
+                        assert!(rx > prev, "receivers out of ascending order");
+                    }
+                    open = Some((at, seq, src, rx));
+                    frames += 1;
+                }
+                Call::TxDone { at, node } => {
+                    if let Some((t0, _, src, _)) = open.take() {
+                        assert_eq!((at, node), (t0, src), "fan-out not closed by its sender");
+                    }
+                    txs += 1;
+                }
+                Call::Timer { .. } => assert!(open.is_none(), "a timer split a fan-out"),
+            }
+        }
+        assert!(open.is_none(), "a fan-out never reached its sender");
+        assert_eq!((txs, frames), (w.stats().tx_frames, w.stats().delivered));
+    }
+
+    /// The O(N) delivery scan is gone; its chatter traces, recorded while it
+    /// ran beside the grid and agreed, are the pins. The grid must reproduce
+    /// them and answer every neighbor query as the scan does.
+    #[test]
+    fn grid_and_brute_force_delivery_traces_are_identical() {
+        for (seed, expected) in CHATTER_PINS {
+            let mut w = chatter_world(seed, &CallLog::default());
+            run_checking_grid(&mut w);
+            assert_eq!(
+                chatter_trace(&w),
+                expected,
+                "grid left the O(N) scan's trace for seed {seed}"
+            );
+        }
+    }
+
+    /// The binary-heap queue is gone; the wheel must reproduce the traces
+    /// it gave and fire every callback in its order.
+    #[test]
+    fn wheel_and_heap_queue_traces_are_identical() {
+        for (seed, expected) in CHATTER_PINS {
+            let log = CallLog::default();
+            let mut w = chatter_world(seed, &log);
+            run_checking_heap_order(&mut w, &log);
+            assert_eq!(
+                chatter_trace(&w),
+                expected,
+                "wheel left the heap queue's trace for seed {seed}"
+            );
+        }
+    }
+
+    /// Per-receiver delivery events are gone; the batched fan-out must
+    /// reproduce the traces they gave and run receivers in their order.
+    #[test]
+    fn batched_and_per_receiver_delivery_traces_are_identical() {
+        for (seed, expected) in CHATTER_PINS {
+            let log = CallLog::default();
+            let mut w = chatter_world(seed, &log);
+            run_checking_fan_out(&mut w, &log);
+            assert_eq!(
+                chatter_trace(&w),
+                expected,
+                "batched fan-out left the per-receiver trace for seed {seed}"
             );
         }
     }
@@ -1952,25 +2148,14 @@ mod tests {
         assert_eq!(w.stats().tx_frames, 20, "the cut must not silence the MAC");
     }
 
-    /// Chatter fingerprint with a full fault plan applied: crash+restart,
+    /// The chatter world with a full fault plan applied: crash+restart,
     /// late join, permanent leave, and a group partition — the determinism
     /// contract must hold with faults exactly as it does without.
-    fn chatter_fault_trace(seed: u64) -> (u64, u64, u64, u64, u64, u64, u64) {
-        let mut w = World::new(WorldConfig {
-            seed,
-            ..WorldConfig::default()
-        });
-        for i in 0..12 {
-            let p = Point::new(25.0 * i as f64, 10.0 * (i % 3) as f64);
-            let mobility: Box<dyn Mobility> = if i % 2 == 0 {
-                Box::new(Stationary::new(p))
-            } else {
-                Box::new(crate::mobility::RandomDirection::new(p))
-            };
-            w.add_node(mobility, Box::new(Chatter::new(20, 7 + i as u64)));
-        }
-        w.set_stack_factory(Box::new(|node, _wreck| {
-            Box::new(Chatter::new(20, 7 + node.0 as u64))
+    fn chatter_fault_world(seed: u64, log: &CallLog) -> World {
+        let mut w = chatter_world(seed, log);
+        let log = Arc::clone(log);
+        w.set_stack_factory(Box::new(move |node, _wreck| {
+            Box::new(Chatter::new(20, 7 + node.0 as u64).logged(&log))
         }));
         let group_a = [NodeId(0), NodeId(1), NodeId(2)];
         let group_b = [NodeId(3), NodeId(4), NodeId(5)];
@@ -1987,30 +2172,90 @@ mod tests {
                 .restart_at(SimTime::from_secs(12), NodeId(3))
                 .leave_at(SimTime::from_secs(20), NodeId(9)),
         );
-        w.run_until(SimTime::from_secs(30));
+        w
+    }
+
+    /// A chatter trace plus `(partition_drops, stale_events_suppressed)`.
+    type FaultTrace = (u64, u64, u64, u64, u64, u64, u64);
+
+    /// The default engine's fault-plan fingerprints, pinned literally; every
+    /// deleted engine mode produced them too.
+    const FAULT_PINS: [(u64, FaultTrace); 3] = [
+        (1, (260, 576, 62, 222, 57600, 0, 0)),
+        (7, (260, 562, 76, 222, 56200, 40, 0)),
+        (99, (260, 532, 66, 222, 53200, 40, 0)),
+    ];
+
+    fn fault_trace(w: &World) -> FaultTrace {
+        let (tx, delivered, losses, collisions, bytes) = chatter_trace(w);
         (
-            w.stats().tx_frames,
-            w.stats().delivered,
-            w.stats().channel_losses,
-            w.stats().collision_drops,
-            w.stats().delivered_payload_bytes,
+            tx,
+            delivered,
+            losses,
+            collisions,
+            bytes,
             w.stats().partition_drops,
             w.stats().stale_events_suppressed,
         )
     }
 
-    /// The default engine's fault-plan fingerprints, pinned literally.
     #[test]
     fn fault_traces_are_pinned() {
-        for (seed, expected) in [
-            (1, (260, 576, 62, 222, 57600, 0, 0)),
-            (7, (260, 562, 76, 222, 56200, 40, 0)),
-            (99, (260, 532, 66, 222, 53200, 40, 0)),
-        ] {
+        for (seed, expected) in FAULT_PINS {
+            let mut w = chatter_fault_world(seed, &CallLog::default());
+            w.run_until(SimTime::from_secs(30));
             assert_eq!(
-                chatter_fault_trace(seed),
+                fault_trace(&w),
                 expected,
                 "fault-plan trace moved for seed {seed}"
+            );
+        }
+    }
+
+    /// The heap-queue check of `wheel_and_heap_queue_traces_are_identical`
+    /// under crash, restart, join, leave and partition.
+    #[test]
+    fn fault_traces_identical_across_queue_modes() {
+        for (seed, expected) in FAULT_PINS {
+            let log = CallLog::default();
+            let mut w = chatter_fault_world(seed, &log);
+            run_checking_heap_order(&mut w, &log);
+            assert_eq!(
+                fault_trace(&w),
+                expected,
+                "fault-plan trace left the heap queue's for seed {seed}"
+            );
+        }
+    }
+
+    /// The per-receiver check of
+    /// `batched_and_per_receiver_delivery_traces_are_identical` under
+    /// faults.
+    #[test]
+    fn fault_traces_identical_across_delivery_event_modes() {
+        for (seed, expected) in FAULT_PINS {
+            let log = CallLog::default();
+            let mut w = chatter_fault_world(seed, &log);
+            run_checking_fan_out(&mut w, &log);
+            assert_eq!(
+                fault_trace(&w),
+                expected,
+                "fault-plan trace left the per-receiver one for seed {seed}"
+            );
+        }
+    }
+
+    /// The O(N)-scan check of
+    /// `grid_and_brute_force_delivery_traces_are_identical` under faults.
+    #[test]
+    fn fault_traces_identical_across_delivery_modes() {
+        for (seed, expected) in FAULT_PINS {
+            let mut w = chatter_fault_world(seed, &CallLog::default());
+            run_checking_grid(&mut w);
+            assert_eq!(
+                fault_trace(&w),
+                expected,
+                "fault-plan trace left the O(N) scan's for seed {seed}"
             );
         }
     }

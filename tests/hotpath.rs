@@ -2,8 +2,12 @@
 //!
 //! The grid must be *invisible* to protocol behaviour: it returns the same
 //! neighbors as an O(N) scan over every node at every instant of every
-//! scenario. (Full-run traces are pinned literally in `tests/traces.rs`.)
+//! scenario, and every default-matrix cell reproduces the trace the O(N)
+//! delivery scan gave (pinned in `tests/common/mod.rs`).
 
+mod common;
+
+use common::*;
 use dapes_netsim::prelude::*;
 use dapes_testutil::prelude::*;
 
@@ -89,5 +93,32 @@ fn grid_neighbors_match_brute_force_under_mobility() {
                 );
             }
         }
+    }
+}
+
+/// The O(N) delivery scan is gone; the matrix traces it gave, recorded
+/// while it ran beside the grid and agreed, are the pins. Every cell must
+/// still reproduce them, with the grid answering each node's neighbor query
+/// at completion exactly as the scan does.
+#[test]
+fn golden_traces_bit_identical_across_delivery_modes() {
+    let params = MatrixParams::default();
+    for (topology, seed, expected) in default_matrix_pins() {
+        let sc = run_cell(topology, seed, &params);
+        for i in 0..sc.world.node_count() as u32 {
+            let n = NodeId(i);
+            assert_eq!(
+                sc.world.neighbors_of(n),
+                neighbors_of_brute(&sc.world, n),
+                "[{}/seed-{seed}] node {n} diverged at completion",
+                topology.label()
+            );
+        }
+        assert_eq!(
+            fingerprint_of(&sc),
+            expected,
+            "[{}/seed-{seed}] grid left the O(N) scan's trace",
+            topology.label()
+        );
     }
 }

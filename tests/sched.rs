@@ -1,8 +1,12 @@
 //! Scheduler suite: one arrival event per transmission, no timer-slab
-//! leak, and the header fast path (peek resolution and decode-free relay)
-//! actually exercised by full DAPES scenarios. (Full-run traces are pinned
-//! literally in `tests/traces.rs`.)
+//! leak, the header fast path (peek resolution and decode-free relay)
+//! actually exercised by full DAPES scenarios, and the pinned traces
+//! (`tests/common/mod.rs`) that each replaced scheduler mode gave.
 
+mod common;
+
+use common::*;
+use dapes_core::peer::DapesPeer;
 use dapes_netsim::prelude::*;
 use dapes_testutil::prelude::*;
 
@@ -136,4 +140,83 @@ fn chain_relays_take_the_decode_free_relay_path() {
         patched > 0,
         "relay decisions must translate into patched frame transmissions"
     );
+}
+
+/// Runs the default-matrix cells the deleted modes' equivalence suites
+/// compared (every topology at seeds 1 and 3), asserts each cell's pinned
+/// trace — the trace the deleted `mode` gave too — and hands the finished
+/// scenario to `check`.
+fn pinned_cells(mode: &str, mut check: impl FnMut(Topology, &Scenario)) {
+    let params = MatrixParams::default();
+    for (topology, seed, expected) in default_matrix_pins() {
+        if seed == 2 {
+            continue;
+        }
+        let sc = run_cell(topology, seed, &params);
+        assert_eq!(
+            fingerprint_of(&sc),
+            expected,
+            "[{}/seed-{seed}] trace left the {mode} trace",
+            topology.label()
+        );
+        check(topology, &sc);
+    }
+}
+
+fn peer_stats(sc: &Scenario) -> impl Iterator<Item = &dapes_core::stats::PeerStats> {
+    (0..sc.world.node_count() as u32)
+        .filter_map(|i| sc.world.stack::<DapesPeer>(NodeId(i)))
+        .map(DapesPeer::stats)
+}
+
+/// The binary-heap queue is gone; the wheel must reproduce its traces.
+/// (The wheel's firing order against a heap reference scheduler is
+/// property-tested in `tests/properties.rs`.)
+#[test]
+fn golden_traces_bit_identical_across_queue_modes() {
+    pinned_cells("binary-heap queue", |_, _| {});
+}
+
+/// Eager decode of every overheard frame is gone; the header fast path
+/// must reproduce its traces while actually resolving frames undecoded.
+#[test]
+fn golden_traces_bit_identical_across_decode_regimes() {
+    let mut peeked = 0;
+    pinned_cells("eager-decode", |_, sc| {
+        peeked += peer_stats(sc).map(|s| s.frames_peek_resolved).sum::<u64>();
+    });
+    assert!(peeked > 0, "no frame ever resolved from its peeked header");
+}
+
+/// One delivery event per receiver is gone; the batched fan-out must
+/// reproduce its traces with one arrival event per transmission.
+#[test]
+fn golden_traces_bit_identical_across_delivery_event_modes() {
+    pinned_cells("per-receiver delivery", |topology, sc| {
+        let s = sc.world.stats();
+        assert_eq!(
+            s.arrival_events,
+            s.tx_frames,
+            "[{}] one arrival event per transmission",
+            topology.label()
+        );
+    });
+}
+
+/// Relaying through a full `Interest` decode and re-encode is gone; the
+/// copy-on-write hop-limit patch must reproduce its traces while chain
+/// relays actually transmit patched frames.
+#[test]
+fn golden_traces_bit_identical_across_relay_patch_modes() {
+    pinned_cells("decode-and-re-encode relay", |topology, sc| {
+        if topology == CHAIN {
+            let patched: u64 = sc
+                .relays
+                .iter()
+                .filter_map(|&id| sc.world.stack::<DapesPeer>(id))
+                .map(|p| p.stats().frames_relay_patched)
+                .sum();
+            assert!(patched > 0, "chain relays never patched a frame");
+        }
+    });
 }

@@ -9,75 +9,14 @@
 //! together), a two-relay chain and a lossy channel. Any engine change that
 //! moves a single frame or microsecond fails here.
 
+mod common;
+
+use common::*;
 use dapes_testutil::prelude::*;
-
-/// `(tx_frames, delivered, channel_losses, collision_drops,
-/// delivered_payload_bytes, completion times in µs)`.
-type Fingerprint = (u64, u64, u64, u64, u64, Vec<Option<u64>>);
-
-fn fingerprint(topology: Topology, seed: u64, params: &MatrixParams) -> Fingerprint {
-    let mut sc = topology.build(seed, params);
-    sc.run_until_complete(topology.deadline());
-    assert_scenario(
-        &format!("{}/seed-{seed}", topology.label()),
-        &sc,
-        &GoldenMetrics::default(),
-    );
-    let s = sc.world.stats();
-    (
-        s.tx_frames,
-        s.delivered,
-        s.channel_losses,
-        s.collision_drops,
-        s.delivered_payload_bytes,
-        sc.completion_times()
-            .into_iter()
-            .map(|t| t.map(|t| t.as_micros()))
-            .collect(),
-    )
-}
-
-fn check(params: &MatrixParams, cells: &[(Topology, u64, Fingerprint)]) {
-    for (topology, seed, expected) in cells {
-        assert_eq!(
-            &fingerprint(*topology, *seed, params),
-            expected,
-            "[{}/seed-{seed}] trace moved",
-            topology.label()
-        );
-    }
-}
 
 #[test]
 fn default_matrix_traces_are_pinned() {
-    const STAR: Topology = Topology::Star { downloaders: 3 };
-    const CHAIN: Topology = Topology::Chain { relays: 1 };
-    check(
-        &MatrixParams::default(),
-        &[
-            (
-                Topology::AdjacentPair,
-                1,
-                (16, 16, 0, 0, 5826, vec![Some(228_405)]),
-            ),
-            (
-                Topology::AdjacentPair,
-                2,
-                (18, 16, 0, 2, 5737, vec![Some(732_833)]),
-            ),
-            (
-                Topology::AdjacentPair,
-                3,
-                (15, 15, 0, 0, 5685, vec![Some(932_048)]),
-            ),
-            (CHAIN, 1, (35, 50, 0, 0, 18553, vec![Some(247_349)])),
-            (CHAIN, 2, (61, 81, 0, 2, 25463, vec![Some(4_044_161)])),
-            (CHAIN, 3, (33, 47, 0, 0, 18400, vec![Some(953_761)])),
-            (STAR, 1, (35, 105, 0, 0, 24408, vec![Some(218_672); 3])),
-            (STAR, 2, (40, 117, 0, 0, 34623, vec![Some(126_144); 3])),
-            (STAR, 3, (42, 120, 0, 6, 43659, vec![Some(929_026); 3])),
-        ],
-    );
+    check(&MatrixParams::default(), &default_matrix_pins());
 }
 
 #[test]
