@@ -1,6 +1,6 @@
 //! Criterion micro-benchmarks for the hot paths of the DAPES stack:
 //! bitmap algebra, rarity computation, wire codecs, forwarder pipeline,
-//! Merkle verification, and SHA-256.
+//! Merkle verification, SHA-256 and signature checks.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dapes_core::prelude::*;
@@ -10,9 +10,27 @@ use dapes_crypto::signing::TrustAnchor;
 use dapes_ndn::prelude::*;
 use dapes_netsim::time::SimTime;
 
-fn bench_sha256(c: &mut Criterion) {
+fn bench_crypto(c: &mut Criterion) {
     let data = vec![0xa5u8; 1024];
     c.bench_function("sha256_1kb", |b| b.iter(|| sha256(black_box(&data))));
+    // Both checks run against a warm key memo: the first verification
+    // inserts the producer's key schedule (and, for `auth_open`, its key
+    // id), as the first genuine packet from a producer does in a swarm.
+    let anchor = TrustAnchor::from_seed(b"bench");
+    let signed = Data::new(
+        Name::from_uri("/damaged-bridge-1533783192/file-0/42"),
+        vec![0u8; 1024],
+    )
+    .signed(&anchor.keypair("p"));
+    assert!(signed.verify(&anchor));
+    c.bench_function("data_verify_1kb", |b| {
+        b.iter(|| black_box(&signed).verify(&anchor))
+    });
+    let sealed = dapes_core::auth::seal(&[0u8; 160], 1, &anchor.keypair("peer-7"));
+    assert!(dapes_core::auth::open(&sealed, "peer-7", &anchor).is_ok());
+    c.bench_function("auth_open", |b| {
+        b.iter(|| dapes_core::auth::open(black_box(&sealed), "peer-7", &anchor).is_ok())
+    });
 }
 
 fn bench_bitmap(c: &mut Criterion) {
@@ -204,7 +222,7 @@ fn bench_peek_vs_decode(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_sha256,
+    bench_crypto,
     bench_bitmap,
     bench_rarity,
     bench_wire,

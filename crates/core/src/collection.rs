@@ -288,8 +288,9 @@ mod tests {
         for idx in 0..col.total_packets() {
             let data = col.packet_data(idx, &a).expect("packet");
             assert!(data.verify(&a), "signature at {idx}");
+            let (file_pos, seq) = col.index().locate(idx).expect("in range");
             assert_eq!(
-                col.metadata().verify_packet(idx, data.content()),
+                col.metadata().verify_packet(file_pos, seq, data.content()),
                 PacketVerification::Verified,
                 "digest at {idx}"
             );
@@ -303,7 +304,7 @@ mod tests {
         // Per-packet is deferred; whole file verifies.
         let data0 = col.packet_data(0, &a).expect("packet");
         assert_eq!(
-            col.metadata().verify_packet(0, data0.content()),
+            col.metadata().verify_packet(0, 0, data0.content()),
             PacketVerification::Deferred
         );
         for (file_pos, range) in

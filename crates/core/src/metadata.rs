@@ -96,18 +96,19 @@ impl Metadata {
         )
     }
 
-    /// Verifies the content of global packet `idx`.
-    pub fn verify_packet(&self, idx: usize, content: &[u8]) -> PacketVerification {
-        let index = self.index();
-        let Some((file_pos, seq)) = index.locate(idx) else {
+    /// Verifies the content of packet `seq` of file `file_pos` (a position
+    /// from [`PacketIndex::locate`]). Out-of-range positions fail.
+    pub fn verify_packet(&self, file_pos: usize, seq: u64, content: &[u8]) -> PacketVerification {
+        let Some(entry) = self.files.get(file_pos) else {
             return PacketVerification::Failed;
         };
-        let entry = &self.files[file_pos];
+        if seq >= u64::from(entry.packet_count) {
+            return PacketVerification::Failed;
+        }
         match self.format {
             MetadataFormat::PacketDigest => {
-                let expect = match entry.digests.get(seq as usize) {
-                    Some(d) => d,
-                    None => return PacketVerification::Failed,
+                let Some(expect) = entry.digests.get(seq as usize) else {
+                    return PacketVerification::Failed;
                 };
                 let got = sha256(content);
                 if &got.as_bytes()[..PACKET_DIGEST_LEN] == expect {
@@ -519,16 +520,31 @@ mod tests {
     #[test]
     fn packet_digest_verifies_immediately() {
         let meta = digest_meta();
-        assert_eq!(meta.verify_packet(0, b"p0"), PacketVerification::Verified);
-        assert_eq!(meta.verify_packet(4, b"l1"), PacketVerification::Verified);
-        assert_eq!(meta.verify_packet(0, b"junk"), PacketVerification::Failed);
-        assert_eq!(meta.verify_packet(99, b"p0"), PacketVerification::Failed);
+        assert_eq!(meta.index().locate(4), Some((1, 1)));
+        assert_eq!(
+            meta.verify_packet(0, 0, b"p0"),
+            PacketVerification::Verified
+        );
+        assert_eq!(
+            meta.verify_packet(1, 1, b"l1"),
+            PacketVerification::Verified
+        );
+        assert_eq!(
+            meta.verify_packet(0, 0, b"junk"),
+            PacketVerification::Failed
+        );
+        assert_eq!(meta.verify_packet(9, 0, b"p0"), PacketVerification::Failed);
+        assert_eq!(meta.verify_packet(0, 3, b"p0"), PacketVerification::Failed);
     }
 
     #[test]
     fn merkle_defers_then_verifies_file() {
         let meta = merkle_meta();
-        assert_eq!(meta.verify_packet(0, b"p0"), PacketVerification::Deferred);
+        assert_eq!(
+            meta.verify_packet(0, 0, b"p0"),
+            PacketVerification::Deferred
+        );
+        assert_eq!(meta.verify_packet(0, 3, b"p0"), PacketVerification::Failed);
         assert!(meta.verify_file(0, &[b"p0".to_vec(), b"p1".to_vec(), b"p2".to_vec()]));
         assert!(!meta.verify_file(0, &[b"p0".to_vec(), b"junk".to_vec(), b"p2".to_vec()]));
         assert!(!meta.verify_file(0, &[b"p0".to_vec()]), "wrong count");

@@ -26,7 +26,7 @@ use crate::namespace::{self, DapesName};
 use crate::rpf::{fetch_order, rarity_counts, EncounterHistory, RpfVariant};
 use crate::stats::{kinds, PeerStats};
 use dapes_crypto::merkle::leaf_hash;
-use dapes_crypto::signing::TrustAnchor;
+use dapes_crypto::signing::{ProducerKey, TrustAnchor};
 use dapes_crypto::Digest;
 use dapes_ndn::face::FaceId;
 use dapes_ndn::forwarder::{Action, Forwarder, ForwarderConfig, PeekOutcome};
@@ -169,6 +169,8 @@ pub struct DapesPeer {
     id: u32,
     cfg: DapesConfig,
     anchor: TrustAnchor,
+    /// Our own producer key (`"peer-{id}"`), signing every announcement.
+    key: ProducerKey,
     role: NodeRole,
     forwarder: Forwarder,
     shared: Arc<Mutex<MultihopState>>,
@@ -270,6 +272,7 @@ impl DapesPeer {
         DapesPeer {
             id,
             cfg,
+            key: anchor.keypair(&format!("peer-{id}")),
             anchor,
             role,
             forwarder,
@@ -468,7 +471,9 @@ impl DapesPeer {
                     face: FaceId::APP,
                     data,
                 } => {
-                    self.handle_app_data(ctx, &data);
+                    // Served from our own Content Store: no received
+                    // frame, so no verdict to share.
+                    self.handle_app_data(ctx, &data, &mut None);
                     handled = true;
                 }
                 _ => {}
@@ -567,7 +572,7 @@ impl DapesPeer {
                     // Short freshness: discovery state changes as peers move, so
                     // caches must not answer discovery probes indefinitely.
                     .with_freshness_ms(1_000)
-                    .signed(&self.anchor.keypair(&format!("peer-{}", self.id)));
+                    .signed(&self.key);
                 self.emit_data(ctx, data, kinds::DISCOVERY_DATA);
             }
             PendingPayload::BitmapReply {
@@ -589,8 +594,7 @@ impl DapesPeer {
                     return;
                 }
                 let content = self.seal_announcement(ctx.now, encode_bitmap_params(self.id, &my));
-                let data = Data::new(reply_name, content)
-                    .signed(&self.anchor.keypair(&format!("peer-{}", self.id)));
+                let data = Data::new(reply_name, content).signed(&self.key);
                 self.stats.bitmaps_sent += 1;
                 self.next_pending += 1;
                 let tx_token = self.next_pending;
@@ -673,11 +677,7 @@ impl DapesPeer {
             return base;
         }
         let ts = self.stamp.next(now);
-        auth::seal(
-            &base,
-            ts,
-            &self.anchor.keypair(&format!("peer-{}", self.id)),
-        )
+        auth::seal(&base, ts, &self.key)
     }
 
     fn current_offers(&self) -> Vec<OfferedCollection> {
@@ -787,8 +787,14 @@ impl DapesPeer {
         self.express_interest(ctx, interest, kinds::METADATA_INTEREST);
     }
 
-    fn handle_metadata_segment(&mut self, ctx: &mut NodeCtx<'_>, collection: &Name, data: &Data) {
-        if !data.verify(&self.anchor) {
+    fn handle_metadata_segment(
+        &mut self,
+        ctx: &mut NodeCtx<'_>,
+        collection: &Name,
+        data: &Data,
+        verdict: &mut Option<bool>,
+    ) {
+        if !self.signature_ok(data, verdict) {
             self.stats.verify_failures += 1;
             return;
         }
@@ -1182,7 +1188,7 @@ impl DapesPeer {
         if d.phase != Phase::Active {
             return;
         }
-        let (Some(meta), Some(index)) = (d.metadata.clone(), d.index.as_ref()) else {
+        let (Some(meta), Some(index)) = (d.metadata.as_deref(), d.index.as_ref()) else {
             return;
         };
         let Some(DapesName::Content { file, seq, .. }) = namespace::classify(data.name()) else {
@@ -1195,7 +1201,8 @@ impl DapesPeer {
             d.outstanding.remove(&idx);
             return;
         }
-        match meta.verify_packet(idx, data.content()) {
+        let (file_pos, _) = index.locate(idx).expect("indexed above");
+        match meta.verify_packet(file_pos, seq, data.content()) {
             PacketVerification::Failed => {
                 self.stats.verify_failures += 1;
                 d.outstanding.remove(&idx);
@@ -1224,7 +1231,6 @@ impl DapesPeer {
             }
         }
         // File-completion check (Merkle verification happens here).
-        let (file_pos, _) = index.locate(idx).expect("located above");
         let range = index.file_range(file_pos).expect("valid file");
         if !d.files_verified[file_pos] && range.clone().all(|i| d.have.get(i)) {
             let ok = match meta.format {
@@ -1592,10 +1598,12 @@ impl NetStack for DapesPeer {
         let Ok(packet) = Packet::decode_payload(&frame.payload) else {
             return;
         };
+        // The Data signature verdict, shared by every consumer below.
+        let mut verdict = None;
         if self.cfg.signed_adverts {
             let hostile = match &packet {
                 Packet::Interest(interest) => self.screen_interest(ctx, interest),
-                Packet::Data(data) => self.screen_data(ctx, data),
+                Packet::Data(data) => self.screen_data(ctx, data, &mut verdict),
             };
             if hostile {
                 return;
@@ -1686,7 +1694,7 @@ impl NetStack for DapesPeer {
                             face: FaceId::APP,
                             data,
                         } => {
-                            self.handle_app_data(ctx, &data);
+                            self.handle_app_data(ctx, &data, &mut verdict);
                         }
                         Action::SendData {
                             face: FaceId::WIRELESS,
@@ -1714,12 +1722,12 @@ impl NetStack for DapesPeer {
                 if self.role == NodeRole::Dapes {
                     match namespace::classify(&dname) {
                         Some(DapesName::Content { collection, .. })
-                            if data.verify(&self.anchor) =>
+                            if self.signature_ok(&data, &mut verdict) =>
                         {
                             self.handle_content_data(ctx, &collection, &data);
                         }
                         Some(DapesName::Metadata { collection, .. }) => {
-                            self.handle_metadata_segment(ctx, &collection, &data);
+                            self.handle_metadata_segment(ctx, &collection, &data, &mut verdict);
                         }
                         _ => {}
                     }
@@ -2107,14 +2115,21 @@ impl DapesPeer {
     /// Screens an overheard Data packet before any protocol state —
     /// including the Content Store — can absorb it: announcements must
     /// open under the trust anchor and pass the replay guard;
-    /// content/metadata segments must carry a valid signature.
-    fn screen_data(&mut self, ctx: &mut NodeCtx<'_>, data: &Data) -> bool {
+    /// content/metadata segments must carry a valid signature, and the
+    /// check's verdict is left in `verdict` for the frame's later
+    /// consumers.
+    fn screen_data(
+        &mut self,
+        ctx: &mut NodeCtx<'_>,
+        data: &Data,
+        verdict: &mut Option<bool>,
+    ) -> bool {
         match namespace::classify(data.name()) {
             Some(DapesName::Bitmap { .. }) | Some(DapesName::Discovery { .. }) => {
                 self.screen_announcement(ctx, data.content())
             }
             Some(DapesName::Content { .. }) | Some(DapesName::Metadata { .. }) => {
-                if data.verify(&self.anchor) {
+                if self.signature_ok(data, verdict) {
                     false
                 } else {
                     self.stats.segments_rejected_tamper += 1;
@@ -2158,13 +2173,21 @@ impl DapesPeer {
         }
     }
 
-    fn handle_app_data(&mut self, ctx: &mut NodeCtx<'_>, data: &Data) {
+    /// Whether `data`'s signature verifies under the trust anchor,
+    /// checked at most once per received frame: `verdict` carries the
+    /// answer from the first consumer that asks to the rest (`None` until
+    /// then).
+    fn signature_ok(&self, data: &Data, verdict: &mut Option<bool>) -> bool {
+        *verdict.get_or_insert_with(|| data.verify(&self.anchor))
+    }
+
+    fn handle_app_data(&mut self, ctx: &mut NodeCtx<'_>, data: &Data, verdict: &mut Option<bool>) {
         match namespace::classify(data.name()) {
             Some(DapesName::Metadata { collection, .. }) => {
-                self.handle_metadata_segment(ctx, &collection, data);
+                self.handle_metadata_segment(ctx, &collection, data, verdict);
             }
             Some(DapesName::Content { collection, .. }) => {
-                if data.verify(&self.anchor) {
+                if self.signature_ok(data, verdict) {
                     self.handle_content_data(ctx, &collection, data);
                 } else {
                     self.stats.verify_failures += 1;

@@ -62,6 +62,25 @@ impl Sha256 {
         }
     }
 
+    /// A hasher resumed from a midstate: `state` after absorbing `len`
+    /// bytes, a whole number of blocks. HMAC key schedules store these so
+    /// the pad blocks are compressed once per key, not once per message.
+    pub(crate) fn resume(state: [u32; 8], len: u64) -> Self {
+        debug_assert_eq!(len % 64, 0, "a midstate sits on a block boundary");
+        Sha256 {
+            state,
+            len,
+            buf: [0u8; 64],
+            buf_len: 0,
+        }
+    }
+
+    /// The chaining state, valid as a midstate only on a block boundary.
+    pub(crate) fn midstate(&self) -> [u32; 8] {
+        debug_assert_eq!(self.buf_len, 0, "a midstate sits on a block boundary");
+        self.state
+    }
+
     /// Absorbs `data` into the hash state.
     pub fn update(&mut self, data: &[u8]) {
         self.len = self.len.wrapping_add(data.len() as u64);
@@ -71,88 +90,86 @@ impl Sha256 {
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&rest[..take]);
             self.buf_len += take;
             rest = &rest[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
+            if self.buf_len < 64 {
+                return;
             }
+            compress(&mut self.state, &self.buf);
+            self.buf_len = 0;
         }
-        while rest.len() >= 64 {
-            let (block, tail) = rest.split_at(64);
-            let mut arr = [0u8; 64];
-            arr.copy_from_slice(block);
-            self.compress(&arr);
-            rest = tail;
+        let mut blocks = rest.chunks_exact(64);
+        for block in &mut blocks {
+            compress(&mut self.state, block.try_into().expect("64-byte chunk"));
         }
-        if !rest.is_empty() {
-            self.buf[..rest.len()].copy_from_slice(rest);
-            self.buf_len = rest.len();
-        }
+        let tail = blocks.remainder();
+        self.buf[..tail.len()].copy_from_slice(tail);
+        self.buf_len = tail.len();
     }
 
     /// Finishes the hash and returns the digest.
     pub fn finalize(mut self) -> Digest {
         let bit_len = self.len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 8-byte big-endian bit length.
-        self.update(&[0x80]);
-        // `update` mutated self.len; only the pre-pad length matters and it
-        // was captured above, so the extra bookkeeping is harmless.
-        while self.buf_len != 56 {
-            self.update(&[0x00]);
+        // Padding, written straight into the block buffer: 0x80, zeros up
+        // to byte 56 of the last block, then the 8-byte big-endian bit
+        // length. A partial block past byte 55 has no room for the length,
+        // so it is zero-filled and compressed first.
+        let mut n = self.buf_len;
+        self.buf[n] = 0x80;
+        n += 1;
+        if n > 56 {
+            self.buf[n..].fill(0);
+            compress(&mut self.state, &self.buf);
+            n = 0;
         }
-        self.update(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.buf_len, 0);
+        self.buf[n..56].fill(0);
+        self.buf[56..].copy_from_slice(&bit_len.to_be_bytes());
+        compress(&mut self.state, &self.buf);
         let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        for (chunk, word) in out.chunks_exact_mut(4).zip(self.state) {
+            chunk.copy_from_slice(&word.to_be_bytes());
         }
         Digest::from_bytes(out)
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes(chunk.try_into().expect("chunk is 4 bytes"));
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
+/// The SHA-256 compression function: folds one 64-byte block into `state`.
+fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 64];
+    for (i, chunk) in block.chunks_exact(4).enumerate() {
+        w[i] = u32::from_be_bytes(chunk.try_into().expect("chunk is 4 bytes"));
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+    }
 
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let temp1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let temp2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(temp1);
-            d = c;
-            c = b;
-            b = a;
-            a = temp1.wrapping_add(temp2);
-        }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ (!e & g);
+        let temp1 = h
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let temp2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(temp1);
+        d = c;
+        c = b;
+        b = a;
+        a = temp1.wrapping_add(temp2);
+    }
 
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *s = s.wrapping_add(v);
     }
 }
 

@@ -155,6 +155,41 @@ fn tampered_segments_never_enter_the_content_store() {
 }
 
 #[test]
+fn tampered_segments_fail_verification_with_signed_adverts_off() {
+    // The unsigned-announcement twin of the test above. With
+    // `signed_adverts: false` nothing screens a frame before the
+    // forwarder, so the downloader's own signature check on received Data
+    // is the only defense: the tamperer's junk must still be counted as a
+    // verification failure, and the transfer must still complete from the
+    // producer's genuine segments.
+    use dapes_core::adversary::AdversaryKind;
+    let cfg = DapesConfig {
+        signed_adverts: false,
+        ..DapesConfig::default()
+    };
+    let mut sc = ScenarioBuilder::new(7)
+        .collection(1, 8 * 1024)
+        .config(cfg)
+        .producer_at(0.0, 0.0)
+        .downloader_at(48.0, 0.0)
+        .adversary_at(AdversaryKind::SegmentTamperer, 90.0, 0.0)
+        .build();
+    assert!(
+        sc.run_until_complete(SimTime::from_secs(120)),
+        "the transfer must survive the tamperer"
+    );
+    assert!(
+        sc.defense_total(|s| s.verify_failures) > 0,
+        "the tamperer's junk must have reached a signature check and failed"
+    );
+    assert_eq!(
+        sc.defense_total(|s| s.segments_rejected_tamper),
+        0,
+        "no pre-forwarder screen runs with the axis off"
+    );
+}
+
+#[test]
 fn matrix_sweeps_the_adversarial_axis() {
     // The scenario matrix gains an adversarial axis: the same topology
     // cells, now with attacker nodes present, must stay green (completion
